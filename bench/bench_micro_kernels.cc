@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 
 #include "bench/common.h"
 #include "src/core/half.h"
@@ -388,22 +389,27 @@ BENCHMARK(BM_InterpolateThreads)
     ->UseRealTime();
 
 // Steady-state allocation count of the full interpolate() frame loop on a
-// reused scratch + result (serial: the pool's task dispatch is outside the
-// neighbor path). After the warm-up frame sizes every arena, subsequent
-// frames must not touch the heap at all — the acceptance bar for the flat
-// NeighborBuffer layout.
+// reused scratch + result, with no pool (Arg 0) and on a pool of Arg
+// workers. After the warm-up frame sizes every arena, subsequent frames must
+// not touch the heap at all — the acceptance bar for the flat
+// NeighborBuffer layout and for pool forks, which allocate nothing per fork
+// or per chunk. The counter sees every thread, workers included.
 void BM_InterpolateSteadyStateAllocs(benchmark::State& state) {
   static InterpFixture fixture;
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  std::optional<ThreadPool> pool;
+  if (workers > 0) pool.emplace(workers);
+  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
   InterpolationScratch scratch;
   InterpolationResult result;
-  interpolate_into(fixture.cloud, 2.0, fixture.cfg, result, nullptr,
+  interpolate_into(fixture.cloud, 2.0, fixture.cfg, result, pool_ptr,
                    &scratch);  // warm-up frame grows all buffers
   std::uint64_t allocs = 0;
   std::uint64_t frames = 0;
   for (auto _ : state) {
     const std::uint64_t before =
         g_alloc_count.load(std::memory_order_relaxed);
-    interpolate_into(fixture.cloud, 2.0, fixture.cfg, result, nullptr,
+    interpolate_into(fixture.cloud, 2.0, fixture.cfg, result, pool_ptr,
                      &scratch);
     allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
     ++frames;
@@ -416,7 +422,11 @@ void BM_InterpolateSteadyStateAllocs(benchmark::State& state) {
   state.counters["arena_bytes"] =
       static_cast<double>(scratch.dilated.arena_capacity_bytes());
 }
-BENCHMARK(BM_InterpolateSteadyStateAllocs)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InterpolateSteadyStateAllocs)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace volut

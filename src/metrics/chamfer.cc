@@ -17,14 +17,9 @@ constexpr std::size_t kReduceChunk = 8192;
 
 /// Runs `body(chunk_index, begin, end)` over [0, n) in fixed chunks, on the
 /// pool when available and inline otherwise.
-void for_chunks(
-    std::size_t n, ThreadPool* pool,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+template <typename Body>
+void for_chunks(std::size_t n, ThreadPool* pool, const Body& body) {
   run_chunked(pool, n, kReduceChunk, body);
-}
-
-inline std::size_t chunk_count(std::size_t n) {
-  return (n + kReduceChunk - 1) / kReduceChunk;
 }
 
 }  // namespace
@@ -34,7 +29,7 @@ double directed_chamfer(const PointCloud& from, const PointCloud& to,
   if (from.empty()) return 0.0;
   if (to.empty()) return std::numeric_limits<double>::infinity();
   KdTree tree(to.positions());
-  std::vector<double> partial(chunk_count(from.size()), 0.0);
+  std::vector<double> partial(chunk_count(from.size(), kReduceChunk), 0.0);
   for_chunks(from.size(), pool,
              [&](std::size_t c, std::size_t begin, std::size_t end) {
                double s = 0.0;
@@ -83,7 +78,7 @@ double directed_density_aware(const PointCloud& from, const PointCloud& to,
   // several query points share one target neighbor, the extra hits each pay
   // an additional alpha-scaled share of their distance — over-concentrated
   // matches can no longer hide missing coverage the way plain CD allows.
-  std::vector<double> partial(chunk_count(from.size()), 0.0);
+  std::vector<double> partial(chunk_count(from.size(), kReduceChunk), 0.0);
   for_chunks(from.size(), pool,
              [&](std::size_t c, std::size_t begin, std::size_t end) {
                double s = 0.0;

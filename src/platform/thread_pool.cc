@@ -44,114 +44,53 @@ ThreadPool::~ThreadPool() {
     MutexLock lk(mu_);
     stop_ = true;
   }
-  cv_task_.notify_all();
+  cv_work_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
+void ThreadPool::Job::drain() {
+  const std::size_t chunks = chunk_count(n, chunk);
+  for (std::size_t c = next++; c < chunks; c = next++) run(body, n, chunk, c);
+}
+
+void ThreadPool::fork(Job& job) {
+  bool posted = false;
+  if (worker_count() > 1 && chunk_count(job.n, job.chunk) > 1) {
     MutexLock lk(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+    if (job_ == nullptr) {
+      job_ = &job;
+      ++epoch_;
+      posted = true;
+    }
   }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
+  if (!posted) {  // serial, a single chunk, or the pool is busy: run inline
+    job.drain();
+    return;
+  }
+  cv_work_.notify_all();
+  job.drain();
+  // Every chunk is claimed, but workers may still be running theirs, and
+  // the job lives on this stack: wait until each one has left it.
   MutexLock lk(mu_);
-  while (in_flight_ != 0) cv_idle_.wait(mu_);
-}
-
-void ThreadPool::finish_one(Latch& latch) {
-  MutexLock lk(latch.mu);
-  if (--latch.pending == 0) latch.cv.notify_all();
-}
-
-void ThreadPool::help_until_done(Latch& latch) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lk(mu_);
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      }
-    }
-    if (task) {
-      task();
-      MutexLock lk(mu_);
-      if (--in_flight_ == 0) cv_idle_.notify_all();
-      continue;
-    }
-    // Queue drained: every chunk of this latch is done or running on
-    // another thread. Running chunks can always finish without us (a
-    // nested parallel call inside one of them helps with its own hands),
-    // so an indefinite wait here cannot deadlock.
-    MutexLock lk(latch.mu);
-    while (latch.pending != 0) latch.cv.wait(latch.mu);
-    return;
-  }
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t min_grain) {
-  if (n == 0) return;
-  const std::size_t workers = worker_count();
-  if (workers <= 1 || n <= min_grain) {
-    body(0, n);
-    return;
-  }
-  const std::size_t chunks = std::min(workers * 4, (n + min_grain - 1) / min_grain);
-  const std::size_t step = (n + chunks - 1) / chunks;
-  Latch latch((n + step - 1) / step);
-  for (std::size_t begin = 0; begin < n; begin += step) {
-    const std::size_t end = std::min(begin + step, n);
-    submit([this, &body, &latch, begin, end] {
-      body(begin, end);
-      finish_one(latch);
-    });
-  }
-  help_until_done(latch);
-}
-
-void ThreadPool::parallel_chunks(
-    std::size_t n, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  chunk = std::max<std::size_t>(1, chunk);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  if (worker_count() <= 1 || num_chunks <= 1) {
-    for_each_chunk(n, chunk, body);
-    return;
-  }
-  Latch latch(num_chunks);
-  for_each_chunk(n, chunk,
-                 [this, &body, &latch](std::size_t c, std::size_t begin,
-                                       std::size_t end) {
-                   submit([this, &body, &latch, c, begin, end] {
-                     body(c, begin, end);
-                     finish_one(latch);
-                   });
-                 });
-  help_until_done(latch);
+  while (joined_ != 0) cv_left_.wait(mu_);
+  job_ = nullptr;
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;  // epoch of the last job this worker joined
   for (;;) {
-    std::function<void()> task;
+    Job* job = nullptr;
     {
       MutexLock lk(mu_);
-      while (!stop_ && tasks_.empty()) cv_task_.wait(mu_);
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      while (!stop_ && (job_ == nullptr || epoch_ == seen)) cv_work_.wait(mu_);
+      if (stop_) return;
+      job = job_;
+      seen = epoch_;
+      ++joined_;
     }
-    task();
-    {
-      MutexLock lk(mu_);
-      if (--in_flight_ == 0) cv_idle_.notify_all();
-    }
+    job->drain();
+    MutexLock lk(mu_);
+    if (--joined_ == 0) cv_left_.notify_one();
   }
 }
 

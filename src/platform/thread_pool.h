@@ -1,21 +1,30 @@
-// Fixed-size thread pool with a parallel-for helper.
+// Fixed-size thread pool with one fork-join primitive, parallel_chunks.
 //
 // The CUDA client in the paper parallelizes kNN search, interpolation and
 // colorization across GPU threads; our CPU substrate uses this pool with the
-// same decomposition (one task per octree cell / per index range). Device
+// same decomposition (fixed-size chunks of points or octree cells). Device
 // profiles (device_profile.h) cap the worker count to model mobile-class
 // hardware.
 //
-// Lock discipline is compiler-checked: the queue, stop flag and in-flight
-// count are VOLUT_GUARDED_BY the pool mutex (core/mutex.h vocabulary), and
-// a clang build with VOLUT_THREAD_SAFETY=ON rejects any unlocked access at
-// compile time (-Werror=thread-safety).
+// A fork posts one job — the body as a pointer plus a thunk, and an atomic
+// chunk cursor, all on the caller's stack — and wakes the workers once.
+// Workers and the caller then claim chunk indices from the cursor until none
+// are left, so nothing is allocated per fork or per chunk. The pool holds
+// one job at a time: a fork that finds the slot taken (a nested fork from
+// inside a chunk, or a second thread forking concurrently) runs all of its
+// chunks inline on its own thread, which cannot deadlock.
+//
+// Lock discipline is compiler-checked: the job slot, its epoch, the count of
+// workers inside the job and the stop flag are VOLUT_GUARDED_BY the pool
+// mutex (core/mutex.h vocabulary), and a clang build with
+// VOLUT_THREAD_SAFETY=ON rejects any unlocked access at compile time
+// (-Werror=thread-safety).
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <functional>
-#include <queue>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -35,6 +44,30 @@ std::size_t default_worker_count(const DeviceProfile& profile);
 /// default_worker_count for the host machine's profile.
 std::size_t default_worker_count();
 
+/// Number of fixed chunks of `chunk` (>= 1) indices covering [0, n).
+constexpr std::size_t chunk_count(std::size_t n, std::size_t chunk) {
+  return (n + chunk - 1) / chunk;
+}
+
+/// Calls `visit(c, begin, end)` for chunk `c` of [0, n) cut into fixed chunks
+/// of `chunk` indices. The single source of truth for chunk boundaries: the
+/// serial sweep (for_each_chunk) and the pool's workers both go through it,
+/// so poolless and pooled sweeps hand the body the same triples.
+template <typename Visit>
+void visit_chunk(std::size_t n, std::size_t chunk, std::size_t c,
+                 const Visit& visit) {
+  visit(c, c * chunk, std::min(n, (c + 1) * chunk));
+}
+
+/// The fixed-chunk sweep run inline: calls `visit(chunk_index, begin, end)`
+/// for every chunk of [0, n), in chunk order.
+template <typename Visit>
+void for_each_chunk(std::size_t n, std::size_t chunk, const Visit& visit) {
+  for (std::size_t c = 0; c < chunk_count(n, chunk); ++c) {
+    visit_chunk(n, chunk, c, visit);
+  }
+}
+
 class ThreadPool {
  public:
   /// Creates a pool with `workers` threads (>=1; 0 means
@@ -48,37 +81,24 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
-  /// Enqueues a task; returns immediately.
-  void submit(std::function<void()> task) VOLUT_EXCLUDES(mu_);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle() VOLUT_EXCLUDES(mu_);
-
-  /// Splits [0, n) into roughly equal chunks and runs
-  /// `body(begin, end)` on the pool, blocking until all chunks complete.
-  /// Runs inline when n is small or the pool has a single worker.
-  ///
-  /// Completion is tracked by a per-call latch, and the calling thread helps
-  /// drain the task queue while it waits. Two consequences: concurrent
-  /// parallel_for calls from different threads wait only on their own
-  /// chunks (no convoy on a shared pool), and a nested call issued from
-  /// inside a pool task cannot deadlock — the nesting task executes queued
-  /// work, including its own chunks, instead of blocking.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t min_grain = 256) VOLUT_EXCLUDES(mu_);
-
-  /// Splits [0, n) into fixed-size chunks of `chunk` indices and runs
-  /// `body(chunk_index, begin, end)` on the pool, blocking until all chunks
-  /// complete. Unlike parallel_for, the chunk boundaries depend only on
-  /// (n, chunk) — never on the worker count — so per-chunk partial results
-  /// (e.g. floating-point sums) combine identically at any parallelism.
-  /// Runs inline on a single-worker pool. Same per-call latch + helping
-  /// discipline as parallel_for.
-  void parallel_chunks(
-      std::size_t n, std::size_t chunk,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body)
-      VOLUT_EXCLUDES(mu_);
+  /// Splits [0, n) into fixed-size chunks of `chunk` indices (0 counts as 1)
+  /// and runs `body(chunk_index, begin, end)` once per chunk, blocking until
+  /// all chunks complete. The chunk boundaries depend only on (n, chunk) —
+  /// never on the worker count — so per-chunk partial results (e.g.
+  /// floating-point sums) combine identically at any parallelism. The
+  /// calling thread runs chunks too. Runs inline on a single-worker pool,
+  /// for a single chunk, and when the pool is busy with another fork.
+  /// `body` must not throw.
+  template <typename Body>
+  void parallel_chunks(std::size_t n, std::size_t chunk, const Body& body)
+      VOLUT_EXCLUDES(mu_) {
+    Job job{[](const void* b, std::size_t jn, std::size_t jchunk,
+               std::size_t c) {
+              visit_chunk(jn, jchunk, c, *static_cast<const Body*>(b));
+            },
+            &body, n, std::max<std::size_t>(1, chunk)};
+    fork(job);
+  }
 
  private:
   /// Compile-fail probes (tests/static/thread_safety_probe.cc) reach the
@@ -86,59 +106,36 @@ class ThreadPool {
   /// an unlocked access must fail to compile under -Werror=thread-safety.
   friend struct TsaProbe;
 
-  /// Per-parallel-call completion tracker (see parallel_for docs).
-  struct Latch {
-    /// Member-init runs before the latch is shared, so the count needs no
-    /// lock at construction; every later touch is under `mu`.
-    explicit Latch(std::size_t n) : pending(n) {}
-    Mutex mu;
-    CondVar cv;
-    std::size_t pending VOLUT_GUARDED_BY(mu);
+  /// One fork, living on the forking thread's stack.
+  struct Job {
+    void (*run)(const void* body, std::size_t n, std::size_t chunk,
+                std::size_t c);
+    const void* body;
+    std::size_t n;
+    std::size_t chunk;
+    std::atomic<std::size_t> next{0};  // chunk cursor
+
+    /// Claims and runs chunks until every chunk has been claimed.
+    void drain();
   };
 
-  void finish_one(Latch& latch) VOLUT_EXCLUDES(latch.mu);
-  /// Runs queued tasks until `latch.pending` reaches zero; sleeps only when
-  /// the queue is empty (every remaining chunk is already executing on some
-  /// other thread, each able to finish without us).
-  void help_until_done(Latch& latch) VOLUT_EXCLUDES(mu_, latch.mu);
-
+  /// Posts `job` and runs it to completion, or runs it inline.
+  void fork(Job& job) VOLUT_EXCLUDES(mu_);
   void worker_loop() VOLUT_EXCLUDES(mu_);
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_ VOLUT_GUARDED_BY(mu_);
   Mutex mu_;
-  CondVar cv_task_;
-  CondVar cv_idle_;
-  std::size_t in_flight_ VOLUT_GUARDED_BY(mu_) = 0;
+  CondVar cv_work_;  // a job was posted, or stop_ was set
+  CondVar cv_left_;  // the last worker left the job
+  /// The active job; set from post until every worker has left it, so a
+  /// fork that finds it non-null knows the pool is busy.
+  Job* job_ VOLUT_GUARDED_BY(mu_) = nullptr;
+  /// Jobs posted so far: a worker joins each posted job at most once.
+  std::uint64_t epoch_ VOLUT_GUARDED_BY(mu_) = 0;
+  /// Workers currently inside *job_.
+  std::size_t joined_ VOLUT_GUARDED_BY(mu_) = 0;
   bool stop_ VOLUT_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> workers_;  // last: the threads use every member
 };
-
-/// parallel_for through `pool`, or inline `body(0, n)` when `pool` is null.
-/// The hot paths take an optional pool; this keeps the fallback in one place.
-/// Templated over the callable so the poolless path invokes the body directly
-/// — no std::function wrapping, hence no heap allocation on the serial
-/// steady-state path (the bench allocation counter relies on this).
-template <typename Body>
-void run_parallel(ThreadPool* pool, std::size_t n, const Body& body,
-                  std::size_t min_grain = 256) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, body, min_grain);
-  } else if (n > 0) {
-    body(std::size_t{0}, n);
-  }
-}
-
-/// The fixed-chunk sweep itself: calls `visit(chunk_index, begin, end)` for
-/// every chunk of [0, n). Single source of truth for chunk boundaries —
-/// parallel_chunks submits through this too, which is what makes poolless
-/// and pooled sweeps bit-identical by construction.
-template <typename Visit>
-void for_each_chunk(std::size_t n, std::size_t chunk, const Visit& visit) {
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    visit(c, c * chunk, std::min(n, (c + 1) * chunk));
-  }
-}
 
 /// parallel_chunks through `pool`, or the same fixed-chunk sweep inline when
 /// `pool` is null. Chunk boundaries depend only on (n, chunk) either way, so
@@ -146,12 +143,10 @@ void for_each_chunk(std::size_t n, std::size_t chunk, const Visit& visit) {
 template <typename Body>
 void run_chunked(ThreadPool* pool, std::size_t n, std::size_t chunk,
                  const Body& body) {
-  if (n == 0) return;
-  chunk = std::max<std::size_t>(1, chunk);
   if (pool != nullptr) {
     pool->parallel_chunks(n, chunk, body);
   } else {
-    for_each_chunk(n, chunk, body);
+    for_each_chunk(n, std::max<std::size_t>(1, chunk), body);
   }
 }
 

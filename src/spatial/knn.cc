@@ -82,9 +82,9 @@ void batch_knn_kdtree(const KdTree& tree, std::span<const Vec3f> queries,
   if (queries.empty() || k == 0 || tree.empty()) return;
   constexpr std::uint32_t kNoExclude =
       std::numeric_limits<std::uint32_t>::max();
-  run_parallel(
-      pool, queries.size(),
-      [&](std::size_t begin, std::size_t end) {
+  run_chunked(
+      pool, queries.size(), /*chunk=*/256,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           // The query's arena slot doubles as the heap's backing storage:
           // the search, the sort and the result share one allocation-free
@@ -95,8 +95,7 @@ void batch_knn_kdtree(const KdTree& tree, std::span<const Vec3f> queries,
               exclude_self ? static_cast<std::uint32_t>(i) : kNoExclude);
           out.set_count(i, heap.sort_ascending());
         }
-      },
-      /*min_grain=*/256);
+      });
 }
 
 NeighborBuffer batch_knn_kdtree(const KdTree& tree,

@@ -82,27 +82,20 @@ void TwoLayerOctree::build(std::span<const Vec3f> positions,
     ++cursor[c];
   }
   sort_span.stop_ms();
-  auto build_cells = [&](std::size_t begin, std::size_t end) {
-    TraceSpan cells_span("octree/build_cells");
-    for (std::size_t c = begin; c < end; ++c) {
-      Cell& cell = cells_[c];
-      // Cell trees report global indices directly (the report_indices
-      // remap), so the shared heap tie-breaks on the indices consumers see
-      // and no post-search remap pass is needed.
-      cell.tree.build(
-          std::span<const Vec3f>(flat_points_.data() + cell.begin,
-                                 cell.end - cell.begin),
-          std::span<const std::uint32_t>(flat_to_global_.data() + cell.begin,
-                                         cell.end - cell.begin));
-    }
-  };
-  if (pool != nullptr && pool->worker_count() > 1) {
-    pool->parallel_for(
-        kNumCells, [&](std::size_t b, std::size_t e) { build_cells(b, e); },
-        /*min_grain=*/1);
-  } else {
-    build_cells(0, kNumCells);
-  }
+  run_chunked(
+      pool, kNumCells, /*chunk=*/1,
+      [&](std::size_t c, std::size_t, std::size_t) {
+        TraceSpan cells_span("octree/build_cells");
+        Cell& cell = cells_[c];
+        // Cell trees report global indices directly (the report_indices
+        // remap), so the shared heap tie-breaks on the indices consumers
+        // see and no post-search remap pass is needed.
+        cell.tree.build(
+            std::span<const Vec3f>(flat_points_.data() + cell.begin,
+                                   cell.end - cell.begin),
+            std::span<const std::uint32_t>(
+                flat_to_global_.data() + cell.begin, cell.end - cell.begin));
+      });
 }
 
 int TwoLayerOctree::cell_of(const Vec3f& p) const {
@@ -203,38 +196,30 @@ void TwoLayerOctree::batch_knn(std::size_t k, NeighborBuffer& out,
   const std::size_t kk = empty() ? 0 : std::min(k, size() - 1);
   out.resize(size(), kk);
   if (empty() || kk == 0) return;
-  auto run_cell_range = [&](std::size_t cell_begin, std::size_t cell_end) {
-    for (std::size_t c = cell_begin; c < cell_end; ++c) {
-      const Cell& cell = cells_[c];
-      for (std::uint32_t fi = cell.begin; fi < cell.end; ++fi) {
-        // The query's arena slot backs the heap; cell trees report global
-        // indices directly, so the sorted slot is the final answer.
-        const std::uint32_t g = flat_to_global_[fi];
-        const std::span<Neighbor> storage = out.slot(g);
-        NeighborHeap heap(storage);
-        if (exact) {
-          knn_into(flat_points_[fi], heap, g);
-        } else {
-          // Own-cell search only; spill to the full search just for the
-          // rare under-populated cells.
-          cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g);
-          if (!heap.full()) {
-            heap.clear();
+  run_chunked(
+      pool, kNumCells, /*chunk=*/1,
+      [&](std::size_t c, std::size_t, std::size_t) {
+        const Cell& cell = cells_[c];
+        for (std::uint32_t fi = cell.begin; fi < cell.end; ++fi) {
+          // The query's arena slot backs the heap; cell trees report global
+          // indices directly, so the sorted slot is the final answer.
+          const std::uint32_t g = flat_to_global_[fi];
+          const std::span<Neighbor> storage = out.slot(g);
+          NeighborHeap heap(storage);
+          if (exact) {
             knn_into(flat_points_[fi], heap, g);
+          } else {
+            // Own-cell search only; spill to the full search just for the
+            // rare under-populated cells.
+            cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g);
+            if (!heap.full()) {
+              heap.clear();
+              knn_into(flat_points_[fi], heap, g);
+            }
           }
+          out.set_count(g, heap.sort_ascending());
         }
-        out.set_count(g, heap.sort_ascending());
-      }
-    }
-  };
-  if (pool != nullptr && pool->worker_count() > 1) {
-    pool->parallel_for(
-        kNumCells,
-        [&](std::size_t b, std::size_t e) { run_cell_range(b, e); },
-        /*min_grain=*/1);
-  } else {
-    run_cell_range(0, kNumCells);
-  }
+      });
 }
 
 NeighborBuffer TwoLayerOctree::batch_knn(std::size_t k, ThreadPool* pool,

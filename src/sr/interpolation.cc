@@ -80,7 +80,7 @@ void interpolate_into(const PointCloud& input, double ratio,
   TraceSpan interp_span("sr/interpolate");
   const std::size_t target_new =
       static_cast<std::size_t>(std::llround(double(n) * (ratio - 1.0)));
-  const std::size_t chunks = (n + kStage2Chunk - 1) / kStage2Chunk;
+  const std::size_t chunks = chunk_count(n, kStage2Chunk);
   const std::size_t P = dk;  // a source has at most dk partners
 
   // Phase A (parallel): per chunk, count sources by partner availability and
@@ -174,7 +174,7 @@ void interpolate_into(const PointCloud& input, double ratio,
     s.kdtree.build(input.positions());
   }
 
-  auto process_range = [&](std::size_t begin, std::size_t end) {
+  auto process_range = [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t j = begin; j < end; ++j) {
       const Vec3f& np = result.cloud.position(new_begin + j);
       if (config.reuse_neighbors) {
@@ -214,7 +214,7 @@ void interpolate_into(const PointCloud& input, double ratio,
       }
     }
   };
-  run_parallel(pool, produced, process_range, /*min_grain=*/512);
+  run_chunked(pool, produced, /*chunk=*/512, process_range);
   result.timing.colorize_ms = colorize_span.stop_ms();
 }
 

@@ -44,7 +44,8 @@ RefinementLut distill_lut(const RefineNet& net, const LutSpec& spec,
 
   constexpr std::size_t kBatch = 4096;
   for (int axis = 0; axis < 3; ++axis) {
-    auto distill_range = [&](std::size_t begin, std::size_t end) {
+    // One chunk is one predict_batch call of up to kBatch entries.
+    auto distill_batch = [&](std::size_t, std::size_t begin, std::size_t end) {
       // Reconstruct the odometer state at `begin`: the neighbor slots are
       // the base-b digits of the flat index, last slot fastest (matching
       // advance()).
@@ -55,31 +56,24 @@ RefinementLut distill_lut(const RefineNet& net, const LutSpec& spec,
         seq[i] = static_cast<std::uint16_t>(flat % std::uint64_t(b));
         flat /= std::uint64_t(b);
       }
+      const std::size_t count = end - begin;
       std::vector<float> coords;
+      coords.reserve(count * n);
       std::vector<std::uint64_t> indices;
-      std::size_t done = begin;
-      while (done < end) {
-        const std::size_t count = std::min(kBatch, end - done);
-        coords.clear();
-        coords.reserve(count * n);
-        indices.clear();
-        indices.reserve(count);
-        for (std::size_t c = 0; c < count; ++c) {
-          indices.push_back(axis_index(seq, b));
-          for (std::size_t s = 0; s < n; ++s) {
-            coords.push_back(dequantize_coord(seq[s], b));
-          }
-          advance(seq, b);
+      indices.reserve(count);
+      for (std::size_t c = 0; c < count; ++c) {
+        indices.push_back(axis_index(seq, b));
+        for (std::size_t s = 0; s < n; ++s) {
+          coords.push_back(dequantize_coord(seq[s], b));
         }
-        const std::vector<float> preds =
-            net.predict_batch(axis, coords, count);
-        for (std::size_t i = 0; i < count; ++i) {
-          lut.set(axis, indices[i], preds[i]);
-        }
-        done += count;
+        advance(seq, b);
+      }
+      const std::vector<float> preds = net.predict_batch(axis, coords, count);
+      for (std::size_t i = 0; i < count; ++i) {
+        lut.set(axis, indices[i], preds[i]);
       }
     };
-    run_parallel(pool, total, distill_range, /*min_grain=*/kBatch);
+    run_chunked(pool, total, kBatch, distill_batch);
   }
   return lut;
 }

@@ -54,7 +54,7 @@ SrResult SrPipeline::upsample(const PointCloud& input, double ratio,
     const std::size_t n = lut_->spec().receptive_field;
     const int bins = lut_->spec().bins;
     const std::size_t new_begin = ir.original_count;
-    auto refine_range = [&](std::size_t begin, std::size_t end) {
+    auto refine_range = [&](std::size_t, std::size_t begin, std::size_t end) {
       for (std::size_t j = begin; j < end; ++j) {
         Vec3f& p = ir.cloud.position(new_begin + j);
         const EncodedNeighborhood enc = encode_neighborhood(
@@ -62,7 +62,7 @@ SrResult SrPipeline::upsample(const PointCloud& input, double ratio,
         p += lut_->lookup(enc);
       }
     };
-    run_parallel(pool_, ir.new_count(), refine_range, /*min_grain=*/1024);
+    run_chunked(pool_, ir.new_count(), /*chunk=*/1024, refine_range);
     result.timing.refine_ms = refine_span.stop_ms();
   }
 

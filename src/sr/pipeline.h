@@ -50,9 +50,8 @@ class SrPipeline {
   /// Upsamples `input` by `ratio` (>= 1, fractional supported). With
   /// `refine` false only stage 1 runs (the K4dX-without-LUT ablation).
   /// Thread-safe: concurrent callers check distinct scratch slots out of the
-  /// pipeline's slot pool, and ThreadPool's per-call latches keep callers
-  /// sharing one `pool` from convoying on (or deadlocking against) each
-  /// other's barriers.
+  /// pipeline's slot pool. Callers sharing one `pool` cannot deadlock: a
+  /// fork that finds the pool busy with another caller's fork runs inline.
   SrResult upsample(const PointCloud& input, double ratio,
                     bool refine = true) const;
 

@@ -26,12 +26,12 @@ TEST(MetricsRegistryTest, CounterExactUnderPoolHammering) {
   counter.reset();
   ThreadPool pool(8);
   constexpr std::size_t kN = 200'000;
-  pool.parallel_for(
-      kN,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) counter.add();
-      },
-      /*min_grain=*/64);
+  pool.parallel_chunks(kN, 64,
+                       [&](std::size_t, std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) {
+                           counter.add();
+                         }
+                       });
 #if VOLUT_OBS_ENABLED
   EXPECT_EQ(counter.value(), kN);
 #else
@@ -146,9 +146,9 @@ TEST(TraceTest, SpansRecordChromeTraceEvents) {
       TraceSpan inner("obs_test/inner");
     }
     ThreadPool pool(4);
-    pool.parallel_for(
-        8, [](std::size_t, std::size_t) { TraceSpan span("obs_test/pool"); },
-        /*min_grain=*/1);
+    pool.parallel_chunks(8, 1, [](std::size_t, std::size_t, std::size_t) {
+      TraceSpan span("obs_test/pool");
+    });
   }
   collector.stop();
 #if VOLUT_OBS_ENABLED
@@ -194,13 +194,11 @@ TEST(TraceTest, TraceRestartWhileSpansActive) {
   ThreadPool pool(4);
   collector.start();
   for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(
-        16,
-        [](std::size_t, std::size_t) { TraceSpan span("obs_test/race"); },
-        /*min_grain=*/1);
+    pool.parallel_chunks(16, 1, [](std::size_t, std::size_t, std::size_t) {
+      TraceSpan span("obs_test/race");
+    });
     collector.start();  // re-anchor while spans may be mid-flight
   }
-  pool.wait_idle();
   collector.stop();
   // Timestamps of surviving events are measured against a coherent anchor:
   // every span recorded after the final re-anchor has a sane microsecond

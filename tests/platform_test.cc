@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
@@ -19,37 +18,25 @@
 namespace volut {
 namespace {
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, ParallelChunksCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10'000);
-  pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
+  pool.parallel_chunks(hits.size(), 256,
+                       [&](std::size_t, std::size_t b, std::size_t e) {
+                         for (std::size_t i = b; i < e; ++i) {
+                           hits[i].fetch_add(1);
+                         }
+                       });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForSmallRangeRunsInline) {
+TEST(ThreadPoolTest, ParallelChunksSmallRangeRunsInline) {
   ThreadPool pool(4);
   int total = 0;  // no synchronization: must run on the calling thread
-  pool.parallel_for(
-      10, [&](std::size_t b, std::size_t e) { total += int(e - b); },
-      /*min_grain=*/256);
+  pool.parallel_chunks(
+      10, 256, [&](std::size_t, std::size_t b, std::size_t e) {
+        total += int(e - b);
+      });
   EXPECT_EQ(total, 10);
 }
 
@@ -62,38 +49,40 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
   for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) pool.submit([&count] { ++count; });
-    pool.wait_idle();
+    pool.parallel_chunks(20, 1, [&count](std::size_t, std::size_t,
+                                         std::size_t) { ++count; });
   }
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, ConcurrentProducersWhileWorkersDrain) {
-  // N producer threads hammer submit() while the workers are already
-  // draining earlier tasks; every task must run exactly once and wait_idle
-  // must observe all of them.
-  ThreadPool pool(4);
-  constexpr int kProducers = 8;
-  constexpr int kTasksPerProducer = 500;
-  std::atomic<int> executed{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, &executed] {
-      for (int i = 0; i < kTasksPerProducer; ++i) {
-        pool.submit([&executed] { executed.fetch_add(1); });
-        if (i % 64 == 0) std::this_thread::yield();
-      }
-    });
+TEST(ThreadPoolTest, ChunkTriplesIndependentOfWorkerCount) {
+  // The body sees the same (chunk_index, begin, end) triples with no pool
+  // and at any worker count; only the order of the calls may differ.
+  using Triple = std::array<std::size_t, 3>;
+  constexpr std::size_t kN = 10'007;
+  constexpr std::size_t kChunk = 64;
+  auto triples = [&](ThreadPool* pool) {
+    std::vector<Triple> seen(chunk_count(kN, kChunk));
+    run_chunked(pool, kN, kChunk,
+                [&seen](std::size_t c, std::size_t b, std::size_t e) {
+                  seen[c] = {c, b, e};
+                });
+    return seen;
+  };
+  const std::vector<Triple> serial = triples(nullptr);
+  ASSERT_EQ(serial.size(), 157u);
+  EXPECT_EQ(serial.front(), (Triple{0, 0, 64}));
+  EXPECT_EQ(serial.back(), (Triple{156, 9984, kN}));
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(triples(&pool), serial) << workers << " workers";
   }
-  for (std::thread& t : producers) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(executed.load(), kProducers * kTasksPerProducer);
 }
 
-TEST(ThreadPoolTest, ConcurrentParallelForFromMultipleThreads) {
-  // parallel_for shares one task queue and one in_flight counter; concurrent
-  // callers must still each see all of their own indices covered.
+TEST(ThreadPoolTest, ConcurrentParallelChunksFromMultipleThreads) {
+  // The pool runs one fork at a time; a caller that finds it busy runs its
+  // chunks inline. Every caller must still see all of its own indices
+  // covered.
   ThreadPool pool(4);
   constexpr int kCallers = 4;
   constexpr std::size_t kRange = 4096;
@@ -102,59 +91,21 @@ TEST(ThreadPoolTest, ConcurrentParallelForFromMultipleThreads) {
   callers.reserve(kCallers);
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&pool, &covered, c] {
-      pool.parallel_for(
-          kRange,
-          [&covered, c](std::size_t b, std::size_t e) {
-            covered[std::size_t(c)].fetch_add(e - b);
-          },
-          /*min_grain=*/64);
+      for (int round = 0; round < 50; ++round) {
+        pool.parallel_chunks(
+            kRange, 64,
+            [&covered, c](std::size_t, std::size_t b, std::size_t e) {
+              covered[std::size_t(c)].fetch_add(e - b);
+            });
+      }
     });
   }
   for (std::thread& t : callers) t.join();
-  for (const auto& sum : covered) EXPECT_EQ(sum.load(), kRange);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsPendingTasks) {
-  // Destroying the pool with tasks still queued must run them all before the
-  // workers join — shutdown is a drain, not a drop.
-  std::atomic<int> executed{0};
-  constexpr int kTasks = 200;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&executed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        executed.fetch_add(1);
-      });
-    }
-    // No wait_idle: the destructor races the backlog.
-  }
-  EXPECT_EQ(executed.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromPoolTaskDoesNotDeadlock) {
-  // A parallel_for issued from inside a pool task must complete: the
-  // per-call latch plus help-while-waiting lets the nesting task run queued
-  // chunks (including its own) instead of blocking on a global counter.
-  ThreadPool pool(2);
-  std::atomic<std::size_t> inner_covered{0};
-  pool.parallel_for(
-      4,
-      [&pool, &inner_covered](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          pool.parallel_for(
-              512,
-              [&inner_covered](std::size_t ib, std::size_t ie) {
-                inner_covered.fetch_add(ie - ib);
-              },
-              /*min_grain=*/64);
-        }
-      },
-      /*min_grain=*/1);
-  EXPECT_EQ(inner_covered.load(), 4u * 512u);
+  for (const auto& sum : covered) EXPECT_EQ(sum.load(), 50 * kRange);
 }
 
 TEST(ThreadPoolTest, NestedParallelChunksFromPoolTaskDoesNotDeadlock) {
+  // A fork issued from inside a chunk finds the pool busy and runs inline.
   ThreadPool pool(2);
   std::atomic<std::size_t> inner_covered{0};
   pool.parallel_chunks(4, 1, [&pool, &inner_covered](std::size_t,
@@ -166,20 +117,6 @@ TEST(ThreadPoolTest, NestedParallelChunksFromPoolTaskDoesNotDeadlock) {
         });
   });
   EXPECT_EQ(inner_covered.load(), 4u * 256u);
-}
-
-TEST(ThreadPoolTest, SubmitFromWorkerTaskDoesNotDeadlock) {
-  // A task enqueueing follow-up work exercises the queue under
-  // producer-is-a-worker contention.
-  ThreadPool pool(2);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&pool, &executed] {
-      pool.submit([&executed] { executed.fetch_add(1); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(executed.load(), 50);
 }
 
 // Saves/clears VOLUT_THREADS around each test so these assertions hold even

@@ -29,10 +29,12 @@ EncodeCacheKey key_of(std::uint32_t chunk, std::uint32_t bucket = 8) {
 
 TEST(EncodeCacheTest, HitMissCounters) {
   EncodeCache cache(1000);
-  EXPECT_FALSE(cache.fetch(key_of(0), 100));  // cold miss
-  EXPECT_TRUE(cache.fetch(key_of(0), 100));   // now resident
-  EXPECT_TRUE(cache.fetch(key_of(0), 100));
-  EXPECT_FALSE(cache.fetch(key_of(1), 100));
+  EXPECT_FALSE(cache.lookup(key_of(0)));  // cold miss
+  cache.insert(key_of(0), 100);
+  EXPECT_TRUE(cache.lookup(key_of(0)));  // now resident
+  EXPECT_TRUE(cache.lookup(key_of(0)));
+  EXPECT_FALSE(cache.lookup(key_of(1)));
+  cache.insert(key_of(1), 100);
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().insertions, 2u);
@@ -42,19 +44,21 @@ TEST(EncodeCacheTest, HitMissCounters) {
 
 TEST(EncodeCacheTest, DensityBucketsSeparateEntries) {
   EncodeCache cache(1000);
-  EXPECT_FALSE(cache.fetch(key_of(0, 4), 100));
-  EXPECT_FALSE(cache.fetch(key_of(0, 8), 100));  // same chunk, other bucket
-  EXPECT_TRUE(cache.fetch(key_of(0, 4), 100));
+  EXPECT_FALSE(cache.lookup(key_of(0, 4)));
+  cache.insert(key_of(0, 4), 100);
+  EXPECT_FALSE(cache.lookup(key_of(0, 8)));  // same chunk, other bucket
+  cache.insert(key_of(0, 8), 100);
+  EXPECT_TRUE(cache.lookup(key_of(0, 4)));
   EXPECT_EQ(cache.entry_count(), 2u);
 }
 
 TEST(EncodeCacheTest, LruEvictionRespectsByteBudget) {
   EncodeCache cache(100);
-  cache.fetch(key_of(0), 40);
-  cache.fetch(key_of(1), 40);
+  cache.insert(key_of(0), 40);
+  cache.insert(key_of(1), 40);
   // Touch chunk 0 so chunk 1 is the LRU victim.
-  EXPECT_TRUE(cache.fetch(key_of(0), 40));
-  cache.fetch(key_of(2), 40);  // needs an eviction: 40+40+40 > 100
+  EXPECT_TRUE(cache.lookup(key_of(0)));
+  cache.insert(key_of(2), 40);  // needs an eviction: 40+40+40 > 100
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.bytes_cached(), 100u);
   EXPECT_TRUE(cache.contains(key_of(0)));   // recently used: survives
@@ -64,9 +68,11 @@ TEST(EncodeCacheTest, LruEvictionRespectsByteBudget) {
 
 TEST(EncodeCacheTest, OversizedArtifactsNeverAdmitted) {
   EncodeCache cache(100);
-  cache.fetch(key_of(0), 40);
-  EXPECT_FALSE(cache.fetch(key_of(1), 500));
-  EXPECT_FALSE(cache.fetch(key_of(1), 500));  // still a miss, still rejected
+  cache.insert(key_of(0), 40);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(cache.lookup(key_of(1)));  // still a miss
+    EXPECT_EQ(cache.insert(key_of(1), 500), 0u);  // still rejected
+  }
   EXPECT_EQ(cache.stats().oversized_rejects, 2u);
   EXPECT_EQ(cache.stats().evictions, 0u);  // must not wipe the cache for it
   EXPECT_TRUE(cache.contains(key_of(0)));

@@ -25,23 +25,16 @@ namespace volut {
 
 struct TsaProbe {
   static std::size_t probe_thread_pool(ThreadPool& pool) {
-#if defined(VOLUT_TSA_PROBE_TASKS)
-    return pool.tasks_.size();  // unlocked read of tasks_ — must not compile
+#if defined(VOLUT_TSA_PROBE_JOB)
+    return pool.job_ != nullptr ? 1u : 0u;  // unlocked read — must not compile
+#elif defined(VOLUT_TSA_PROBE_EPOCH)
+    return std::size_t(pool.epoch_);  // unlocked read of epoch_
+#elif defined(VOLUT_TSA_PROBE_JOINED)
+    return pool.joined_;  // unlocked read of joined_
 #elif defined(VOLUT_TSA_PROBE_STOP)
     return pool.stop_ ? 1u : 0u;  // unlocked read of stop_
-#elif defined(VOLUT_TSA_PROBE_IN_FLIGHT)
-    return pool.in_flight_;  // unlocked read of in_flight_
 #else
     (void)pool;
-    return 0;
-#endif
-  }
-
-  static std::size_t probe_latch(ThreadPool::Latch& latch) {
-#if defined(VOLUT_TSA_PROBE_LATCH_PENDING)
-    return latch.pending;  // unlocked read of Latch::pending
-#else
-    (void)latch;
     return 0;
 #endif
   }
@@ -76,9 +69,9 @@ struct TsaProbe {
   /// The legal shape, compiled in every mode: a guarded read inside a
   /// MutexLock scope. This is the positive control that keeps the probes
   /// honest — if the vocabulary itself broke, this would stop compiling.
-  static std::size_t locked_latch_read(ThreadPool::Latch& latch) {
-    MutexLock lk(latch.mu);
-    return latch.pending;
+  static std::size_t locked_joined_read(ThreadPool& pool) {
+    MutexLock lk(pool.mu_);
+    return pool.joined_;
   }
 };
 
