@@ -3,19 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/obs/metrics.h"
-
 namespace volut {
-
-void EncodeCache::set_metrics_prefix(std::string_view prefix) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::string base(prefix);
-  reg_.hits = &reg.counter(base + "/hits");
-  reg_.misses = &reg.counter(base + "/misses");
-  reg_.evictions = &reg.counter(base + "/evictions");
-  reg_.insertions = &reg.counter(base + "/insertions");
-  reg_.oversized_rejects = &reg.counter(base + "/oversized_rejects");
-}
 
 std::uint32_t density_bucket(double density_ratio, std::uint32_t buckets) {
   buckets = std::max<std::uint32_t>(1, buckets);
@@ -31,12 +19,10 @@ bool EncodeCache::lookup(const EncodeCacheKey& key) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
     ++stats_.hits;
-    if (reg_.hits != nullptr) reg_.hits->add();
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
     return true;
   }
   ++stats_.misses;
-  if (reg_.misses != nullptr) reg_.misses->add();
   return false;
 }
 
@@ -44,7 +30,6 @@ std::size_t EncodeCache::insert(const EncodeCacheKey& key, std::size_t bytes) {
   if (index_.count(key) != 0) return 0;
   if (bytes > budget_bytes_) {
     ++stats_.oversized_rejects;
-    if (reg_.oversized_rejects != nullptr) reg_.oversized_rejects->add();
     return 0;
   }
   std::size_t evicted = 0;
@@ -56,12 +41,10 @@ std::size_t EncodeCache::insert(const EncodeCacheKey& key, std::size_t bytes) {
     ++stats_.evictions;
     ++evicted;
   }
-  if (evicted > 0 && reg_.evictions != nullptr) reg_.evictions->add(evicted);
   lru_.emplace_front(key, bytes);
   index_.emplace(key, lru_.begin());
   bytes_cached_ += bytes;
   ++stats_.insertions;
-  if (reg_.insertions != nullptr) reg_.insertions->add();
   return evicted;
 }
 

@@ -7,20 +7,17 @@
 // replica, keyed by the encode identity with the continuous density ratio
 // bucketized to a small ladder — the same discipline CDN edge caches use for
 // ABR renditions. A byte budget bounds resident encodes; eviction is strict
-// LRU and every hit/miss/eviction is counted so fleet metrics can report the
-// hit rate.
+// LRU and every hit/miss/eviction is counted in stats(), the only store of
+// those counts (run_fleet publishes each run's totals to the metrics
+// registry at its end).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 
 namespace volut {
-
-class Counter;
 
 /// Identity of one encoded chunk artifact. `points_per_frame` and
 /// `content_seed` disambiguate the same logical video served at different
@@ -81,12 +78,6 @@ class EncodeCache {
   std::size_t entry_count() const { return index_.size(); }
   const EncodeCacheStats& stats() const { return stats_; }
 
-  /// Mirrors every stats_ bump into registry counters named
-  /// "<prefix>/hits", "<prefix>/misses", etc. The legacy stats() struct
-  /// stays authoritative; the registry copy feeds exposition, and
-  /// serve_fleet_test asserts the two never drift.
-  void set_metrics_prefix(std::string_view prefix);
-
   /// Residency probe at request time: counts a hit (refreshing LRU order) or
   /// a miss, but never inserts — on a miss the caller is expected to encode
   /// and insert() when the encode completes (EncodeQueue does), so an
@@ -116,16 +107,6 @@ class EncodeCache {
   std::unordered_map<EncodeCacheKey, LruList::iterator, EncodeCacheKeyHash>
       index_;
   EncodeCacheStats stats_;
-
-  /// Registry mirrors; null until set_metrics_prefix is called.
-  struct RegistryCounters {
-    Counter* hits = nullptr;
-    Counter* misses = nullptr;
-    Counter* evictions = nullptr;
-    Counter* insertions = nullptr;
-    Counter* oversized_rejects = nullptr;
-  };
-  RegistryCounters reg_;
 };
 
 }  // namespace volut

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "src/core/rng.h"
 #include "src/obs/event_log.h"
-#include "src/obs/metrics.h"
 
 namespace volut {
 
@@ -59,26 +57,6 @@ EncodeQueue::EncodeQueue(std::size_t shards, std::size_t total_budget_bytes)
   }
 }
 
-void EncodeQueue::set_metrics_prefix(std::string_view prefix) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::string base(prefix);
-  reg_starts_ = &reg.counter(base + "/encode/starts");
-  reg_coalesced_ = &reg.counter(base + "/encode/coalesced_joins");
-  reg_completions_ = &reg.counter(base + "/encode/completions");
-  reg_failures_ = &reg.counter(base + "/encode/failures");
-  reg_retries_ = &reg.counter(base + "/encode/retries");
-  reg_give_ups_ = &reg.counter(base + "/encode/give_ups");
-  reg_abandoned_ = &reg.counter(base + "/encode/abandoned");
-  static constexpr double kBackoffBounds[] = {0.1, 0.25, 0.5, 1.0,
-                                              2.0, 4.0,  8.0};
-  reg_backoff_ = &reg.histogram(base + "/encode/backoff_seconds",
-                                kBackoffBounds);
-  reg_peak_in_flight_ = &reg.gauge(base + "/encode/peak_in_flight");
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].set_metrics_prefix(base + "/cache/shard" + std::to_string(s));
-  }
-}
-
 void EncodeQueue::set_fault_policy(EncodeFaultPolicy policy) {
   if (policy.max_attempts == 0) {
     throw std::invalid_argument("EncodeQueue: max_attempts must be >= 1");
@@ -91,7 +69,6 @@ void EncodeQueue::finish_encode(const EncodeCacheKey& key, std::size_t bytes,
   const std::size_t shard = shard_of(key);
   const std::size_t evicted = shards_[shard].insert(key, bytes);
   ++stats_.completions;
-  if (reg_completions_ != nullptr) reg_completions_->add();
   if (event_log_ != nullptr) {
     event_log_->record(time, FleetEventType::kEncodeComplete, kNoSession,
                        std::int32_t(shard), double(bytes));
@@ -113,14 +90,12 @@ EncodeQueue::Decision EncodeQueue::request(const EncodeCacheKey& key,
   const auto it = in_flight_.find(key);
   if (it != in_flight_.end()) {
     ++stats_.coalesced_joins;
-    if (reg_coalesced_ != nullptr) reg_coalesced_->add();
     ++it->second.waiters;
     return {false, /*coalesced=*/true, it->second.ready_at};
   }
   // A fresh request retries a terminally-failed key from scratch.
   failed_.erase(key);
   ++stats_.encode_starts;
-  if (reg_starts_ != nullptr) reg_starts_->add();
   if (encode_seconds <= 0.0 && !fault_policy_.attempt_fails) {
     // Free encode: complete synchronously, exactly the pre-queue fetch path.
     // With a fault policy armed even free encodes go through the schedule,
@@ -142,9 +117,6 @@ EncodeQueue::Decision EncodeQueue::request(const EncodeCacheKey& key,
   schedule_.emplace(std::make_pair(ready_at, seq_), key);
   ++seq_;
   stats_.peak_in_flight = std::max(stats_.peak_in_flight, in_flight_.size());
-  if (reg_peak_in_flight_ != nullptr) {
-    reg_peak_in_flight_->set_max(double(stats_.peak_in_flight));
-  }
   return {false, false, ready_at};
 }
 
@@ -197,7 +169,6 @@ std::vector<EncodeQueue::Completion> EncodeQueue::complete_until(
         // its shard (the work was paid for — the next request hits), but
         // the completion served nobody.
         ++stats_.abandoned;
-        if (reg_abandoned_ != nullptr) reg_abandoned_->add();
         if (event_log_ != nullptr) {
           event_log_->record(when, FleetEventType::kEncodeAbandon, kNoSession,
                              encode.replica);
@@ -210,7 +181,6 @@ std::vector<EncodeQueue::Completion> EncodeQueue::complete_until(
     }
     outcome.success = false;
     ++stats_.failures;
-    if (reg_failures_ != nullptr) reg_failures_->add();
     if (event_log_ != nullptr) {
       event_log_->record(when, FleetEventType::kEncodeFail, kNoSession,
                          encode.replica, double(encode.attempt));
@@ -218,7 +188,6 @@ std::vector<EncodeQueue::Completion> EncodeQueue::complete_until(
     if (encode.attempt >= fault_policy_.max_attempts) {
       outcome.terminal = true;
       ++stats_.exhausted;
-      if (reg_give_ups_ != nullptr) reg_give_ups_->add();
       if (event_log_ != nullptr) {
         event_log_->record(when, FleetEventType::kEncodeGiveUp, kNoSession,
                            encode.replica, double(encode.attempt));
@@ -236,8 +205,7 @@ std::vector<EncodeQueue::Completion> EncodeQueue::complete_until(
                  fault_policy_.backoff_base_seconds *
                      double(std::uint64_t(1) << exponent));
     ++stats_.retries;
-    if (reg_retries_ != nullptr) reg_retries_->add();
-    if (reg_backoff_ != nullptr) reg_backoff_->observe(backoff);
+    outcome.backoff_seconds = backoff;
     if (event_log_ != nullptr) {
       event_log_->record(when, FleetEventType::kEncodeRetry, kNoSession,
                          encode.replica, backoff);

@@ -31,13 +31,15 @@
 //
 // Everything is driven by the caller's event loop and absolute clock: the
 // queue never reads wall time, so it inherits the fleet's determinism.
+// stats() and each shard's stats() are the only store of the queue's
+// counts; run_fleet publishes each run's totals to the metrics registry at
+// its end.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,8 +49,6 @@
 namespace volut {
 
 class EventLog;
-class Gauge;
-class Histogram;
 
 /// Consistent-hash ring: `shards` shards, each projected onto the ring at
 /// `vnodes_per_shard` pseudo-random points; a key hashes to the first vnode
@@ -147,6 +147,8 @@ class EncodeQueue {
     std::uint32_t attempt = 1;
     /// Replica hint of the request that started the encode (-1 none).
     std::int32_t replica = -1;
+    /// Failed and not terminal: the backoff waited before the next attempt.
+    double backoff_seconds = 0.0;
   };
 
   /// Settles every in-flight encode attempt with ready_at <= time in
@@ -189,11 +191,6 @@ class EncodeQueue {
   /// Hit/miss/eviction counters aggregated over every shard.
   EncodeCacheStats cache_stats() const;
 
-  /// Mirrors queue stats into "<prefix>/encode/..." registry counters and
-  /// each shard's stats into "<prefix>/cache/shard<s>/...". Legacy structs
-  /// stay authoritative; the registry copy feeds exposition.
-  void set_metrics_prefix(std::string_view prefix);
-
   /// Emits kEncodeComplete (and kCacheEvict) fleet events as encodes land in
   /// their shards. The log must outlive the queue; null detaches.
   void set_event_log(EventLog* log) { event_log_ = log; }
@@ -229,22 +226,13 @@ class EncodeQueue {
   EncodeQueueStats stats_;
   EncodeFaultPolicy fault_policy_;
 
-  /// Inserts a completed encode into its shard, bumping registry mirrors and
+  /// Inserts a completed encode into its shard, counting the completion and
   /// emitting the completion/eviction events — shared by complete_until and
   /// the synchronous zero-latency path.
   void finish_encode(const EncodeCacheKey& key, std::size_t bytes,
                      double time);
 
   EventLog* event_log_ = nullptr;
-  Counter* reg_starts_ = nullptr;
-  Counter* reg_coalesced_ = nullptr;
-  Counter* reg_completions_ = nullptr;
-  Counter* reg_failures_ = nullptr;
-  Counter* reg_retries_ = nullptr;
-  Counter* reg_give_ups_ = nullptr;
-  Counter* reg_abandoned_ = nullptr;
-  Histogram* reg_backoff_ = nullptr;
-  Gauge* reg_peak_in_flight_ = nullptr;
 };
 
 }  // namespace volut

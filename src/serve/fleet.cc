@@ -6,7 +6,9 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "src/abr/qoe.h"
 #include "src/metrics/chamfer.h"
@@ -69,14 +71,15 @@ struct SrWorkItem {
   double chunk_seconds = 1.0;
 };
 
-EncodeCacheKey cache_key(const VideoSpec& spec, std::size_t chunk,
-                         double density_ratio, std::uint32_t buckets) {
+/// Encode-cache identity of client c's current chunk plan.
+EncodeCacheKey plan_key(const ClientRuntime& c, std::uint32_t buckets) {
+  const VideoSpec& spec = c.engine->config().video;
   EncodeCacheKey key;
   key.video = static_cast<std::uint32_t>(spec.id);
   key.points_per_frame = static_cast<std::uint32_t>(spec.points_per_frame);
   key.content_seed = static_cast<std::uint32_t>(spec.seed);
-  key.chunk = static_cast<std::uint32_t>(chunk);
-  key.density_bucket = density_bucket(density_ratio, buckets);
+  key.chunk = static_cast<std::uint32_t>(c.plan.index);
+  key.density_bucket = density_bucket(c.plan.density_ratio, buckets);
   return key;
 }
 
@@ -140,6 +143,56 @@ void measure_sr_samples(const std::vector<SrWorkItem>& work,
               });
 }
 
+/// Adds one run's serve totals to the process-wide registry. The result's
+/// structs are the only store of these counts; the registry accumulates
+/// across runs, so each run adds its totals once, at its end, and never
+/// overwrites what earlier runs published.
+void publish_serve_metrics(const FleetResult& result,
+                           const std::vector<double>& failover_latencies) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  static constexpr std::pair<const char*, std::uint64_t EncodeCacheStats::*>
+      kShardCounters[] = {
+          {"hits", &EncodeCacheStats::hits},
+          {"misses", &EncodeCacheStats::misses},
+          {"evictions", &EncodeCacheStats::evictions},
+          {"insertions", &EncodeCacheStats::insertions},
+          {"oversized_rejects", &EncodeCacheStats::oversized_rejects},
+      };
+  for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
+    const std::string base = "serve/cache/shard" + std::to_string(s) + "/";
+    for (const auto& [name, field] : kShardCounters) {
+      reg.counter(base + name).add(result.cache_shards[s].*field);
+    }
+  }
+  const EncodeQueueStats& encode = result.encode_queue;
+  std::uint64_t breaker_trips = 0;
+  for (const ReplicaStats& replica : result.replicas) {
+    breaker_trips += replica.breaker_trips;
+  }
+  const std::pair<const char*, std::uint64_t> run_counters[] = {
+      {"serve/encode/starts", encode.encode_starts},
+      {"serve/encode/coalesced_joins", encode.coalesced_joins},
+      {"serve/encode/completions", encode.completions},
+      {"serve/encode/failures", encode.failures},
+      {"serve/encode/retries", encode.retries},
+      {"serve/encode/give_ups", encode.exhausted},
+      {"serve/encode/abandoned", encode.abandoned},
+      {"serve/fleet/failovers", result.failovers},
+      {"serve/fleet/session_failures", result.failed_sessions},
+      {"serve/fleet/downloads_aborted", result.downloads_aborted},
+      {"serve/fleet/density_downshifts", result.degraded_chunks},
+      {"serve/fleet/breaker_trips", breaker_trips},
+  };
+  for (const auto& [name, value] : run_counters) reg.counter(name).add(value);
+  reg.gauge("serve/encode/peak_in_flight")
+      .set_max(double(encode.peak_in_flight));
+  static constexpr double kFailoverBounds[] = {0.05, 0.1, 0.25, 0.5, 1.0,
+                                               2.0,  5.0, 10.0, 30.0};
+  Histogram& failover =
+      reg.histogram("serve/fleet/failover_seconds", kFailoverBounds);
+  for (const double latency : failover_latencies) failover.observe(latency);
+}
+
 }  // namespace
 
 FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
@@ -171,7 +224,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   // keyed by sim time, so it shares the run's bit-identity guarantee.
   EventLog log(config.event_log_capacity);
   queue.set_event_log(&log);
-  queue.set_metrics_prefix("serve");
   if (faults_armed && config.faults.encode_failure_rate > 0.0) {
     EncodeFaultPolicy policy;
     policy.attempt_fails = [&faults](std::uint64_t seq,
@@ -204,20 +256,18 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   std::vector<double> degraded_since(n_replicas, 0.0);
   std::vector<double> failover_latencies;
 
+  // Serve counters live in the result's structs and are published once at
+  // the end of the run; these two histograms are the only record of their
+  // samples, so they are observed as the samples occur.
   MetricsRegistry& reg = MetricsRegistry::global();
-  Counter& ctr_failovers = reg.counter("serve/fleet/failovers");
-  Counter& ctr_session_failures = reg.counter("serve/fleet/session_failures");
-  Counter& ctr_aborts = reg.counter("serve/fleet/downloads_aborted");
-  Counter& ctr_downshifts = reg.counter("serve/fleet/density_downshifts");
-  Counter& ctr_breaker_trips = reg.counter("serve/fleet/breaker_trips");
-  static constexpr double kFailoverBounds[] = {0.05, 0.1, 0.25, 0.5, 1.0,
-                                               2.0,  5.0, 10.0, 30.0};
   static constexpr double kDegradedBounds[] = {0.5, 1.0,  2.5,  5.0,
                                                10.0, 30.0, 60.0, 120.0};
-  Histogram& h_failover =
-      reg.histogram("serve/fleet/failover_seconds", kFailoverBounds);
+  static constexpr double kBackoffBounds[] = {0.1, 0.25, 0.5, 1.0,
+                                              2.0, 4.0,  8.0};
   Histogram& h_degraded =
       reg.histogram("serve/fleet/degraded_interval_seconds", kDegradedBounds);
+  Histogram& h_backoff =
+      reg.histogram("serve/encode/backoff_seconds", kBackoffBounds);
 
   FleetResult result;
   result.sessions.resize(n_clients);
@@ -278,8 +328,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     double ready_at = now + encode_seconds;
     if (session.kind != SystemKind::kVivo) {
       const EncodeQueue::Decision decision = queue.request(
-          cache_key(session.video, c.plan.index, c.plan.density_ratio,
-                    config.density_buckets),
+          plan_key(c, config.density_buckets),
           static_cast<std::size_t>(c.plan.bytes), now, encode_seconds, cr);
       ready_at = decision.ready_at;
       log.record(now,
@@ -323,7 +372,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       c.replica = kNoReplica;
     }
     log.record(when, FleetEventType::kSessionFail, std::uint32_t(i), cr);
-    ctr_session_failures.add();
     c.state = ClientState::kFailed;
     ++result.failed_sessions;
     --remaining;
@@ -343,8 +391,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       const double latency = when - c.failover_since;
       ++result.failovers;
       failover_latencies.push_back(latency);
-      ctr_failovers.add();
-      h_failover.observe(latency);
       log.record(when, FleetEventType::kFailoverComplete, std::uint32_t(i),
                  std::int32_t(r), latency);
       if (c.redo_startup) {
@@ -388,6 +434,21 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       c.state = ClientState::kIdle;
       c.t_next = when;
     }
+  };
+
+  /// Parks client i in the FIFO waiting room until a slot frees or its
+  /// max_wait_seconds deadline passes.
+  const auto enqueue_waiting = [&](std::size_t i) {
+    ClientRuntime& c = clients[i];
+    c.state = ClientState::kWaiting;
+    c.waiting_since = now;
+    c.t_next = std::isfinite(config.max_wait_seconds)
+                   ? now + config.max_wait_seconds
+                   : kInf;
+    waiting_room.push_back(i);
+    log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
+    result.queue_depth_peak =
+        std::max(result.queue_depth_peak, waiting_room.size());
   };
 
   // FIFO admission: as long as a replica has a free slot, the head of the
@@ -438,7 +499,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         flow_owner[r].erase(c.flow_id);
         ++result.downloads_aborted;
         result.bytes_discarded += discarded;
-        ctr_aborts.add();
         log.record(now, FleetEventType::kDownloadAbort, std::uint32_t(i),
                    std::int32_t(r), discarded);
         c.redo_chunk = !c.startup_flow;
@@ -453,9 +513,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           if (c.engine->config().kind != SystemKind::kVivo) {
             // This waiter departs its coalesced encode; the encode itself
             // keeps running (single-flight work is not cancellable).
-            queue.abandon(cache_key(c.engine->config().video, c.plan.index,
-                                    c.plan.density_ratio,
-                                    config.density_buckets));
+            queue.abandon(plan_key(c, config.density_buckets));
           }
         }
       } else {  // kIdle: resume the paused request once re-admitted
@@ -468,15 +526,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       if (r2 != kNoReplica) {
         admit_client(i, r2, now);
       } else if (config.max_wait_seconds > 0.0) {
-        c.state = ClientState::kWaiting;
-        c.waiting_since = now;
-        c.t_next = std::isfinite(config.max_wait_seconds)
-                       ? now + config.max_wait_seconds
-                       : kInf;
-        waiting_room.push_back(i);
-        log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
-        result.queue_depth_peak =
-            std::max(result.queue_depth_peak, waiting_room.size());
+        enqueue_waiting(i);
       } else {
         fail_session(i, now);
       }
@@ -536,6 +586,9 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         const std::uint32_t threshold =
             config.recovery.breaker_failure_threshold;
         for (const EncodeQueue::Completion& done : outcomes) {
+          if (!done.success && !done.terminal) {
+            h_backoff.observe(done.backoff_seconds);
+          }
           if (done.replica < 0 ||
               std::size_t(done.replica) >= n_replicas) {
             continue;
@@ -551,7 +604,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
             breaker_until[r] =
                 done.time + config.recovery.breaker_reset_seconds;
             ++result.replicas[r].breaker_trips;
-            ctr_breaker_trips.add();
             log.record(done.time, FleetEventType::kBreakerTrip, kNoSession,
                        std::int32_t(r), double(consec_encode_failures[r]));
             refresh_degraded(r, done.time);
@@ -667,9 +719,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       if (c.state != ClientState::kRequested || c.t_next > now) continue;
       if (faults_armed && !c.startup_flow &&
           c.engine->config().kind != SystemKind::kVivo) {
-        const EncodeCacheKey key =
-            cache_key(c.engine->config().video, c.plan.index,
-                      c.plan.density_ratio, config.density_buckets);
+        const EncodeCacheKey key = plan_key(c, config.density_buckets);
         const EncodeQueue::KeyState state = queue.key_state(key);
         if (state == EncodeQueue::KeyState::kInFlight) {
           c.t_next = queue.in_flight_ready_at(key) + config.rtt_seconds;
@@ -713,15 +763,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           load, config.max_sessions_per_replica, down, eff_degraded);
       if (r == kNoReplica) {
         if (config.max_wait_seconds > 0.0) {
-          c.state = ClientState::kWaiting;
-          c.waiting_since = now;
-          c.t_next = std::isfinite(config.max_wait_seconds)
-                         ? now + config.max_wait_seconds
-                         : kInf;
-          waiting_room.push_back(i);
-          log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
-          result.queue_depth_peak =
-              std::max(result.queue_depth_peak, waiting_room.size());
+          enqueue_waiting(i);
         } else {
           c.state = ClientState::kRejected;
           log.record(now, FleetEventType::kReject, std::uint32_t(i));
@@ -792,7 +834,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
                   ? (ratio < 1.0 ? session.yuzu_sr_seconds_per_chunk : 0.0)
                   : session.volut_sr_seconds_per_chunk * ratio;
           ++result.degraded_chunks;
-          ctr_downshifts.add();
           log.record(now, FleetEventType::kDensityDownshift, std::uint32_t(i),
                      std::int32_t(c.replica), ratio);
         }
@@ -861,6 +902,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   result.timeline_events = log.recorded();
   result.events = std::move(log);
 
+  publish_serve_metrics(result, failover_latencies);
   measure_sr_samples(sr_work, config.sr_lut, result.sr_samples, pool);
   return result;
 }

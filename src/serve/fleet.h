@@ -30,7 +30,9 @@
 // they convert to session errors), and degrade replicas (deprioritized by
 // routing, slower encodes, optional graceful one-bucket density downshift).
 // A circuit breaker marks a replica degraded after consecutive encode
-// failures. Every transition lands in the EventLog and obs counters.
+// failures. Every transition lands in the EventLog and the FleetResult
+// counts; run_fleet publishes those counts to the metrics registry (the
+// serve/* names) once, at the end of each run — the result is the store.
 //
 // Determinism: the timeline is strictly ordered (time, then event class,
 // then client index), so a fleet run is bit-identical for any ThreadPool

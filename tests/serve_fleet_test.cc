@@ -5,7 +5,11 @@
 // Labeled "integration" in ctest.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -30,6 +34,21 @@ FleetConfig sweep_config() {
   fleet.shard_cache_per_replica = true;
   fleet.encode_seconds_full = 0.040;
   fleet.measure_sr_stride = 5;
+  return fleet;
+}
+
+/// sweep_config() with crashes, a blackout, a brownout, a degradation window
+/// and stochastic encode failures all armed.
+FleetConfig armed_sweep_config() {
+  FleetConfig fleet = sweep_config();
+  fleet.faults.seed = 0xBADF00Du;
+  fleet.faults.crashes = {{0, 3.0, 2.0}, {1, 9.0, 1.0}};
+  fleet.faults.blackouts = {{1, 5.0, 1.5}};
+  fleet.faults.brownouts = {{0, 12.0, 4.0}};
+  fleet.faults.degradations = {{1, 14.0, 6.0}};
+  fleet.faults.encode_failure_rate = 0.15;
+  fleet.recovery.encode_backoff_base_seconds = 0.1;
+  fleet.recovery.degrade_density_when_degraded = true;
   return fleet;
 }
 
@@ -156,15 +175,7 @@ TEST(FleetFaultSweepTest, ArmedScheduleBitIdenticalAcrossPoolWorkerCounts) {
   // and stochastic encode failures all armed, the run — recovery cascades
   // included — stays bit-identical for any worker count. Faults live on the
   // single-threaded timeline; the pool still only fans out SR measurement.
-  FleetConfig fleet = sweep_config();
-  fleet.faults.seed = 0xBADF00Du;
-  fleet.faults.crashes = {{0, 3.0, 2.0}, {1, 9.0, 1.0}};
-  fleet.faults.blackouts = {{1, 5.0, 1.5}};
-  fleet.faults.brownouts = {{0, 12.0, 4.0}};
-  fleet.faults.degradations = {{1, 14.0, 6.0}};
-  fleet.faults.encode_failure_rate = 0.15;
-  fleet.recovery.encode_backoff_base_seconds = 0.1;
-  fleet.recovery.degrade_density_when_degraded = true;
+  const FleetConfig fleet = armed_sweep_config();
 
   ThreadPool pool1(1);
   const FleetResult reference = run_fleet(fleet, &pool1);
@@ -204,40 +215,120 @@ TEST(FleetFaultSweepTest, ArmedScheduleBitIdenticalAcrossPoolWorkerCounts) {
 }
 
 #if VOLUT_OBS_ENABLED
+/// Every serve counter run_fleet publishes, paired with the result field it
+/// is published from.
+std::vector<std::pair<std::string, std::uint64_t>> published_counters(
+    const FleetResult& result) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
+    const std::string prefix = "serve/cache/shard" + std::to_string(s) + "/";
+    const EncodeCacheStats& shard = result.cache_shards[s];
+    out.emplace_back(prefix + "hits", shard.hits);
+    out.emplace_back(prefix + "misses", shard.misses);
+    out.emplace_back(prefix + "evictions", shard.evictions);
+    out.emplace_back(prefix + "insertions", shard.insertions);
+    out.emplace_back(prefix + "oversized_rejects", shard.oversized_rejects);
+  }
+  const EncodeQueueStats& encode = result.encode_queue;
+  out.emplace_back("serve/encode/starts", encode.encode_starts);
+  out.emplace_back("serve/encode/coalesced_joins", encode.coalesced_joins);
+  out.emplace_back("serve/encode/completions", encode.completions);
+  out.emplace_back("serve/encode/failures", encode.failures);
+  out.emplace_back("serve/encode/retries", encode.retries);
+  out.emplace_back("serve/encode/give_ups", encode.exhausted);
+  out.emplace_back("serve/encode/abandoned", encode.abandoned);
+  std::uint64_t breaker_trips = 0;
+  for (const ReplicaStats& replica : result.replicas) {
+    breaker_trips += replica.breaker_trips;
+  }
+  out.emplace_back("serve/fleet/failovers", result.failovers);
+  out.emplace_back("serve/fleet/session_failures", result.failed_sessions);
+  out.emplace_back("serve/fleet/downloads_aborted", result.downloads_aborted);
+  out.emplace_back("serve/fleet/density_downshifts", result.degraded_chunks);
+  out.emplace_back("serve/fleet/breaker_trips", breaker_trips);
+  return out;
+}
+
+std::uint64_t histogram_total(std::string_view name) {
+  // Bounds are ignored for an already-registered histogram.
+  return MetricsRegistry::global().histogram(name, {}).total();
+}
+
 TEST(FleetSweepTest, RegistryCountersAgreeWithLegacyAccessors) {
-  // The registry mirrors (serve/encode/*, serve/cache/shard*/*) are bumped
-  // alongside the legacy stats structs; a run must leave both views equal,
-  // or a future refactor silently forked the two bookkeeping paths.
+  // run_fleet publishes each run's struct totals to the registry at its
+  // end; after one run from a reset registry the two views must be equal,
+  // on the fault-free path and with every fault class armed.
+  struct Case {
+    const char* name;
+    FleetConfig fleet;
+  };
+  const Case cases[] = {{"fault-free", sweep_config()},
+                        {"armed", armed_sweep_config()}};
+  MetricsRegistry& reg = MetricsRegistry::global();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    reg.reset();
+    const FleetResult result = run_fleet(c.fleet);
+
+    EXPECT_EQ(reg.counter_value("serve/encode/starts"),
+              result.encode_queue.encode_starts);
+    EXPECT_EQ(reg.counter_value("serve/encode/coalesced_joins"),
+              result.encode_queue.coalesced_joins);
+    EXPECT_EQ(reg.counter_value("serve/encode/completions"),
+              result.encode_queue.completions);
+    ASSERT_EQ(result.cache_shards.size(), 2u);
+    for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
+      const std::string prefix =
+          "serve/cache/shard" + std::to_string(s) + "/";
+      EXPECT_EQ(reg.counter_value(prefix + "hits"),
+                result.cache_shards[s].hits)
+          << prefix;
+      EXPECT_EQ(reg.counter_value(prefix + "misses"),
+                result.cache_shards[s].misses)
+          << prefix;
+      EXPECT_EQ(reg.counter_value(prefix + "evictions"),
+                result.cache_shards[s].evictions)
+          << prefix;
+    }
+    for (const auto& [name, value] : published_counters(result)) {
+      EXPECT_EQ(reg.counter_value(name), value) << name;
+    }
+    EXPECT_EQ(reg.gauge_value("serve/encode/peak_in_flight"),
+              double(result.encode_queue.peak_in_flight));
+    EXPECT_EQ(histogram_total("serve/fleet/failover_seconds"),
+              result.failovers);
+    EXPECT_EQ(histogram_total("serve/encode/backoff_seconds"),
+              result.encode_queue.retries);
+    // The timeline saw the same encode lifecycle the registry counted.
+    EXPECT_EQ(result.events.type_count(FleetEventType::kEncodeStart),
+              result.encode_queue.encode_starts);
+    EXPECT_EQ(result.events.type_count(FleetEventType::kEncodeComplete),
+              result.encode_queue.completions);
+  }
+}
+
+TEST(FleetSweepTest, RegistryAccumulatesAcrossRuns) {
+  // Publishing adds each run's totals; it never overwrites what an earlier
+  // run published, so two back-to-back runs read exactly twice one run.
+  const FleetConfig fleet = armed_sweep_config();
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.reset();
-  const FleetConfig fleet = sweep_config();
-  const FleetResult result = run_fleet(fleet);
-
-  EXPECT_EQ(reg.counter_value("serve/encode/starts"),
-            result.encode_queue.encode_starts);
-  EXPECT_EQ(reg.counter_value("serve/encode/coalesced_joins"),
-            result.encode_queue.coalesced_joins);
-  EXPECT_EQ(reg.counter_value("serve/encode/completions"),
-            result.encode_queue.completions);
-  ASSERT_EQ(result.cache_shards.size(), 2u);
-  for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
-    const std::string prefix =
-        "serve/cache/shard" + std::to_string(s) + "/";
-    EXPECT_EQ(reg.counter_value(prefix + "hits"),
-              result.cache_shards[s].hits)
-        << prefix;
-    EXPECT_EQ(reg.counter_value(prefix + "misses"),
-              result.cache_shards[s].misses)
-        << prefix;
-    EXPECT_EQ(reg.counter_value(prefix + "evictions"),
-              result.cache_shards[s].evictions)
-        << prefix;
+  const FleetResult once = run_fleet(fleet);
+  const auto one_run = reg.counters_with_prefix("serve/");
+  ASSERT_FALSE(one_run.empty());
+  (void)run_fleet(fleet);
+  const auto two_runs = reg.counters_with_prefix("serve/");
+  ASSERT_EQ(two_runs.size(), one_run.size());
+  for (std::size_t k = 0; k < one_run.size(); ++k) {
+    EXPECT_EQ(two_runs[k].first, one_run[k].first);
+    EXPECT_EQ(two_runs[k].second, 2 * one_run[k].second) << one_run[k].first;
   }
-  // The timeline saw the same encode lifecycle the registry counted.
-  EXPECT_EQ(result.events.type_count(FleetEventType::kEncodeStart),
-            result.encode_queue.encode_starts);
-  EXPECT_EQ(result.events.type_count(FleetEventType::kEncodeComplete),
-            result.encode_queue.completions);
+  EXPECT_GT(once.failovers, 0u);
+  EXPECT_GT(once.encode_queue.retries, 0u);
+  EXPECT_EQ(histogram_total("serve/fleet/failover_seconds"),
+            2 * once.failovers);
+  EXPECT_EQ(histogram_total("serve/encode/backoff_seconds"),
+            2 * once.encode_queue.retries);
 }
 #endif  // VOLUT_OBS_ENABLED
 

@@ -56,14 +56,11 @@ python3 "$root/tools/volut_lint/volut_lint.py" --root "$root" || fail=1
 
 echo "== clang-format =="
 if command -v clang-format >/dev/null 2>&1; then
-  # Same file set as the CI job: tracked sources under src/ tests/ bench/
-  # examples/ tools/.
-  files="$(cd "$root" && git ls-files 'src/*.h' 'src/*.cc' 'tests/*.cc' \
-    'bench/*.h' 'bench/*.cc' 'examples/*.cc' 'tools/*.cc' 2>/dev/null)"
-  if [ -n "$files" ]; then
-    (cd "$root" && echo "$files" | xargs clang-format --dry-run --Werror) \
-      || fail=1
-  fi
+  # Same file set as the CI job: *.cc, *.h and *.cpp under src/ tests/
+  # bench/ examples/ (tools/ holds lint fixtures that are never formatted).
+  (cd "$root" && find src tests bench examples \
+    \( -name '*.cc' -o -name '*.h' -o -name '*.cpp' \) -print0 |
+    xargs -0 clang-format --dry-run --Werror) || fail=1
 else
   echo "clang-format not installed — skipped (CI runs it)"
 fi
@@ -74,7 +71,11 @@ if [ "$run_headers" -eq 1 ]; then
     echo "build/ missing — configure with: cmake -B build -S ." >&2
     fail=1
   else
-    cmake --build "$root/build" --target volut_header_hermeticity || fail=1
+    # Parallel like the ctest entry: one job per core, capped at 8.
+    jobs="$(nproc 2>/dev/null || echo 1)"
+    [ "$jobs" -gt 8 ] && jobs=8
+    cmake --build "$root/build" --target volut_header_hermeticity \
+      --parallel "$jobs" || fail=1
   fi
 fi
 
