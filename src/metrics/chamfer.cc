@@ -15,13 +15,6 @@ namespace {
 // same order — and hence to the same bits — at any worker count).
 constexpr std::size_t kReduceChunk = 8192;
 
-/// Runs `body(chunk_index, begin, end)` over [0, n) in fixed chunks, on the
-/// pool when available and inline otherwise.
-template <typename Body>
-void for_chunks(std::size_t n, ThreadPool* pool, const Body& body) {
-  run_chunked(pool, n, kReduceChunk, body);
-}
-
 }  // namespace
 
 double directed_chamfer(const PointCloud& from, const PointCloud& to,
@@ -30,14 +23,16 @@ double directed_chamfer(const PointCloud& from, const PointCloud& to,
   if (to.empty()) return std::numeric_limits<double>::infinity();
   KdTree tree(to.positions());
   std::vector<double> partial(chunk_count(from.size(), kReduceChunk), 0.0);
-  for_chunks(from.size(), pool,
-             [&](std::size_t c, std::size_t begin, std::size_t end) {
-               double s = 0.0;
-               for (std::size_t i = begin; i < end; ++i) {
-                 s += std::sqrt(double(tree.nearest(from.position(i)).dist2));
-               }
-               partial[c] = s;
-             });
+  run_chunked(pool, from.size(), kReduceChunk,
+              [&](std::size_t c, std::size_t begin, std::size_t end) {
+                KnnTally tally;
+                double s = 0.0;
+                for (std::size_t i = begin; i < end; ++i) {
+                  s += std::sqrt(
+                      double(tree.nearest(from.position(i), &tally).dist2));
+                }
+                partial[c] = s;
+              });
   double sum = 0.0;
   for (const double s : partial) sum += s;
   return sum / double(from.size());
@@ -66,12 +61,13 @@ double directed_density_aware(const PointCloud& from, const PointCloud& to,
   // queries parallelize) followed by a serial per-target hit count (the
   // increments collide across chunks).
   std::vector<std::size_t> nearest(from.size());
-  for_chunks(from.size(), pool,
-             [&](std::size_t, std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 nearest[i] = tree.nearest(from.position(i)).index;
-               }
-             });
+  run_chunked(pool, from.size(), kReduceChunk,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                KnnTally tally;
+                for (std::size_t i = begin; i < end; ++i) {
+                  nearest[i] = tree.nearest(from.position(i), &tally).index;
+                }
+              });
   std::vector<std::size_t> hits(to.size(), 0);
   for (std::size_t i = 0; i < from.size(); ++i) ++hits[nearest[i]];
   // Second pass: the plain distance term plus a clumping penalty. When
@@ -79,19 +75,19 @@ double directed_density_aware(const PointCloud& from, const PointCloud& to,
   // an additional alpha-scaled share of their distance — over-concentrated
   // matches can no longer hide missing coverage the way plain CD allows.
   std::vector<double> partial(chunk_count(from.size(), kReduceChunk), 0.0);
-  for_chunks(from.size(), pool,
-             [&](std::size_t c, std::size_t begin, std::size_t end) {
-               double s = 0.0;
-               for (std::size_t i = begin; i < end; ++i) {
-                 const double d = std::sqrt(double(
-                     distance2(from.position(i), to.position(nearest[i]))));
-                 const double clump =
-                     1.0 -
-                     1.0 / double(std::max<std::size_t>(1, hits[nearest[i]]));
-                 s += d * (1.0 + alpha * clump);
-               }
-               partial[c] = s;
-             });
+  run_chunked(pool, from.size(), kReduceChunk,
+              [&](std::size_t c, std::size_t begin, std::size_t end) {
+                double s = 0.0;
+                for (std::size_t i = begin; i < end; ++i) {
+                  const double d = std::sqrt(double(
+                      distance2(from.position(i), to.position(nearest[i]))));
+                  const double clump =
+                      1.0 - 1.0 / double(std::max<std::size_t>(
+                                    1, hits[nearest[i]]));
+                  s += d * (1.0 + alpha * clump);
+                }
+                partial[c] = s;
+              });
   double sum = 0.0;
   for (const double s : partial) sum += s;
   return sum / double(from.size());

@@ -2,11 +2,14 @@
 // histograms with JSON and Prometheus-style text exposition.
 //
 // Design point: registration is cold (mutex-guarded name lookup, done once
-// per call site), increments are hot (one relaxed atomic RMW on a handle the
-// call site caches). Hot paths therefore hold a Counter*/Gauge*/Histogram*
-// — handles have stable addresses for the life of the process (instruments
-// live in node-based maps and are never erased; reset() zeroes values but
-// keeps registrations).
+// per call site); an increment is one relaxed atomic RMW on a handle the
+// call site caches — handles have stable addresses for the life of the
+// process (instruments live in node-based maps and are never erased;
+// reset() zeroes values but keeps registrations). That RMW is not free when
+// every pool worker hits the same cache line, so per-item loops never add
+// per item: they tally in plain integers and flush once per batch chunk
+// (KnnTally in src/spatial/knn.h is the pattern). A counter read after a
+// batch call returns is exact.
 //
 // Determinism contract: counters and histogram buckets are unsigned integers
 // bumped with commutative relaxed adds, so their totals are bit-identical

@@ -4,41 +4,9 @@
 #include <limits>
 #include <numeric>
 
-#include "src/obs/metrics.h"
 #include "src/spatial/knn_simd.h"
 
 namespace volut {
-
-namespace {
-
-#if VOLUT_OBS_ENABLED
-/// Per-query search-effort counters, flushed once per knn_into. Leaf scans
-/// index by the SIMD level active at flush time — tests flip levels
-/// in-process via simd_force_level, so the level must never be cached.
-struct KnnCounters {
-  Counter* queries;
-  Counter* leaf_scans[3];  // indexed by SimdLevel
-  Counter* points_scanned;
-  Counter* heap_pushes;
-};
-
-const KnnCounters& knn_counters() {
-  static const KnnCounters counters = [] {
-    MetricsRegistry& reg = MetricsRegistry::global();
-    KnnCounters c;
-    c.queries = &reg.counter("spatial/knn_queries");
-    c.leaf_scans[0] = &reg.counter("spatial/leaf_scans/scalar");
-    c.leaf_scans[1] = &reg.counter("spatial/leaf_scans/sse2");
-    c.leaf_scans[2] = &reg.counter("spatial/leaf_scans/avx2");
-    c.points_scanned = &reg.counter("spatial/points_scanned");
-    c.heap_pushes = &reg.counter("spatial/heap_pushes");
-    return c;
-  }();
-  return counters;
-}
-#endif
-
-}  // namespace
 
 void KdTree::build(std::span<const Vec3f> positions,
                    std::span<const std::uint32_t> report_indices) {
@@ -136,17 +104,13 @@ std::vector<Neighbor> KdTree::knn(const Vec3f& query, std::size_t k) const {
 }
 
 void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
-                      std::uint32_t index_offset,
-                      std::uint32_t exclude) const {
+                      std::uint32_t index_offset, std::uint32_t exclude,
+                      KnnTally* tally) const {
   if (empty()) return;
   const LeafScanFn scan = active_leaf_scan();
-#if VOLUT_OBS_ENABLED
-  // Local tallies, flushed as one relaxed add per counter at query exit so
-  // the leaf loop stays atomic-free.
-  std::uint64_t leaf_scans = 0;
-  std::uint64_t points_scanned = 0;
+  KnnTally local;
+  KnnTally& t = tally != nullptr ? *tally : local;
   const std::uint64_t pushes_before = heap.pushes();
-#endif
   // Explicit-stack traversal (the hot path has no recursion): descend
   // toward the query, deferring each far subtree with the squared distance
   // to its splitting plane; after every leaf scan, resume the nearest
@@ -169,23 +133,15 @@ void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
     scan(soa_x_.data() + node->soa_begin, soa_y_.data() + node->soa_begin,
          soa_z_.data() + node->soa_begin, soa_idx_.data() + node->soa_begin,
          node->end - node->begin, query, index_offset, exclude, heap);
-#if VOLUT_OBS_ENABLED
-    ++leaf_scans;
-    points_scanned += node->end - node->begin;
-#endif
+    ++t.leaf_scans;
+    t.points_scanned += node->end - node->begin;
     // Prune with > (not >=): a subtree whose plane distance exactly equals
     // the current worst may still hold an equidistant neighbor that wins
     // the (distance, index) tie-break.
     do {
       if (sp == 0) {
-#if VOLUT_OBS_ENABLED
-        const KnnCounters& counters = knn_counters();
-        counters.queries->add();
-        counters.leaf_scans[static_cast<int>(simd_active_level())]->add(
-            leaf_scans);
-        counters.points_scanned->add(points_scanned);
-        counters.heap_pushes->add(heap.pushes() - pushes_before);
-#endif
+        ++t.queries;
+        t.heap_pushes += heap.pushes() - pushes_before;
         return;
       }
       --sp;
@@ -194,13 +150,13 @@ void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
   }
 }
 
-Neighbor KdTree::nearest(const Vec3f& query) const {
+Neighbor KdTree::nearest(const Vec3f& query, KnnTally* tally) const {
   // Empty-tree sentinel (kNoNeighbor, +inf): callers fold it into metrics
   // as "infinitely far" instead of reading nodes_[0] out of bounds.
   Neighbor best{kNoNeighbor, std::numeric_limits<float>::infinity()};
   if (empty()) return best;
   NeighborHeap heap(std::span<Neighbor>(&best, 1));
-  knn_into(query, heap);
+  knn_into(query, heap, /*index_offset=*/0, kNoExclude, tally);
   return best;
 }
 

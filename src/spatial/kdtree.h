@@ -24,6 +24,9 @@ class KdTree {
   /// Sentinel index reported by nearest() on an empty tree.
   static constexpr std::size_t kNoNeighbor =
       std::numeric_limits<std::size_t>::max();
+  /// knn_into's `exclude` value that excludes nothing.
+  static constexpr std::uint32_t kNoExclude =
+      std::numeric_limits<std::uint32_t>::max();
 
   KdTree() = default;
 
@@ -51,15 +54,16 @@ class KdTree {
   /// `index_offset` added to every reported index and `exclude` (post-offset)
   /// skipped. Lets composite indexes (the two-layer octree) share one heap
   /// across several trees so the worst-distance bound prunes globally.
-  /// No-op on an empty tree.
+  /// Search effort goes to `tally` (a local one, flushed on return, when
+  /// null). No-op on an empty tree.
   void knn_into(const Vec3f& query, NeighborHeap& heap,
                 std::uint32_t index_offset = 0,
-                std::uint32_t exclude =
-                    std::numeric_limits<std::uint32_t>::max()) const;
+                std::uint32_t exclude = kNoExclude,
+                KnnTally* tally = nullptr) const;
 
   /// Index + squared distance of the single nearest neighbor, or
-  /// {kNoNeighbor, +inf} when the tree is empty.
-  Neighbor nearest(const Vec3f& query) const;
+  /// {kNoNeighbor, +inf} when the tree is empty. `tally` as for knn_into.
+  Neighbor nearest(const Vec3f& query, KnnTally* tally = nullptr) const;
 
   /// All points within `radius` of `query`, sorted by increasing distance.
   std::vector<Neighbor> radius(const Vec3f& query, float radius) const;

@@ -2,8 +2,10 @@
 
 #include <array>
 
+#include "src/obs/metrics.h"
 #include "src/platform/thread_pool.h"
 #include "src/spatial/kdtree.h"
+#include "src/spatial/knn_simd.h"
 
 namespace volut {
 
@@ -11,7 +13,54 @@ namespace {
 /// Stack-buffer cap shared by merge_and_prune_into and its vector wrapper;
 /// also the hard ceiling on how many merged neighbors one call can return.
 constexpr std::size_t kMaxCand = 64;
+
+/// Registry handles behind ~KnnTally, resolved once.
+struct KnnCounters {
+  Counter* queries;
+  Counter* leaf_scans[3];  // indexed by SimdLevel
+  Counter* points_scanned;
+  Counter* heap_pushes;
+  Counter* octree_cell_queries;
+  Counter* octree_spills;
+};
+
+const KnnCounters& knn_counters() {
+  static const KnnCounters counters = [] {
+    MetricsRegistry& reg = MetricsRegistry::global();
+    KnnCounters c;
+    c.queries = &reg.counter("spatial/knn_queries");
+    c.leaf_scans[0] = &reg.counter("spatial/leaf_scans/scalar");
+    c.leaf_scans[1] = &reg.counter("spatial/leaf_scans/sse2");
+    c.leaf_scans[2] = &reg.counter("spatial/leaf_scans/avx2");
+    c.points_scanned = &reg.counter("spatial/points_scanned");
+    c.heap_pushes = &reg.counter("spatial/heap_pushes");
+    // Queries answered by the octree's own-cell fast path vs. ones that
+    // spilled into the multi-cell search: the ratio the two-layer design
+    // bets on.
+    c.octree_cell_queries = &reg.counter("spatial/octree_cell_queries");
+    c.octree_spills = &reg.counter("spatial/octree_spills");
+    return c;
+  }();
+  return counters;
+}
+
+void add_nonzero(Counter* counter, std::uint64_t n) {
+  if (n != 0) counter->add(n);
+}
 }  // namespace
+
+KnnTally::~KnnTally() {
+  const KnnCounters& c = knn_counters();
+  add_nonzero(c.queries, queries);
+  // The level is read at flush time, not cached: tests flip levels
+  // in-process via simd_force_level, which happens only between batches.
+  add_nonzero(c.leaf_scans[static_cast<int>(simd_active_level())],
+              leaf_scans);
+  add_nonzero(c.points_scanned, points_scanned);
+  add_nonzero(c.heap_pushes, heap_pushes);
+  add_nonzero(c.octree_cell_queries, octree_cell_queries);
+  add_nonzero(c.octree_spills, octree_spills);
+}
 
 std::size_t merge_and_prune_into(std::span<const Neighbor> a,
                                  std::span<const Neighbor> b,
@@ -80,19 +129,19 @@ void batch_knn_kdtree(const KdTree& tree, std::span<const Vec3f> queries,
                       bool exclude_self) {
   out.resize(queries.size(), k);
   if (queries.empty() || k == 0 || tree.empty()) return;
-  constexpr std::uint32_t kNoExclude =
-      std::numeric_limits<std::uint32_t>::max();
   run_chunked(
       pool, queries.size(), /*chunk=*/256,
       [&](std::size_t, std::size_t begin, std::size_t end) {
+        KnnTally tally;
         for (std::size_t i = begin; i < end; ++i) {
           // The query's arena slot doubles as the heap's backing storage:
           // the search, the sort and the result share one allocation-free
           // buffer.
           NeighborHeap heap(out.slot(i));
-          tree.knn_into(
-              queries[i], heap, /*index_offset=*/0,
-              exclude_self ? static_cast<std::uint32_t>(i) : kNoExclude);
+          tree.knn_into(queries[i], heap, /*index_offset=*/0,
+                        exclude_self ? static_cast<std::uint32_t>(i)
+                                     : KdTree::kNoExclude,
+                        &tally);
           out.set_count(i, heap.sort_ascending());
         }
       });

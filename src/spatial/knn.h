@@ -151,8 +151,8 @@ class NeighborHeap {
   }
 
   /// Accepted insertions since construction (rejected candidates excluded);
-  /// always 0 under VOLUT_OBS=OFF. Searches flush the delta into the
-  /// "spatial/heap_pushes" counter.
+  /// always 0 under VOLUT_OBS=OFF. Searches add the delta to their
+  /// KnnTally's heap_pushes.
   std::uint64_t pushes() const {
 #if VOLUT_OBS_ENABLED
     return pushes_;
@@ -172,6 +172,27 @@ class NeighborHeap {
 #if VOLUT_OBS_ENABLED
   std::uint64_t pushes_ = 0;
 #endif
+};
+
+/// Search-effort tally for the six "spatial/*" search counters, kept in plain
+/// integers so per-query searches touch no shared cache line. A batch loop
+/// declares one per chunk and passes it to every search in the chunk; the
+/// destructor flushes it, so the registry totals are exact once the batch
+/// call returns. Searches given a null tally use a local one.
+struct KnnTally {
+  std::uint64_t queries = 0;              // spatial/knn_queries
+  std::uint64_t leaf_scans = 0;           // spatial/leaf_scans/<simd level>
+  std::uint64_t points_scanned = 0;       // spatial/points_scanned
+  std::uint64_t heap_pushes = 0;          // spatial/heap_pushes
+  std::uint64_t octree_cell_queries = 0;  // spatial/octree_cell_queries
+  std::uint64_t octree_spills = 0;        // spatial/octree_spills
+
+  KnnTally() = default;
+  KnnTally(const KnnTally&) = delete;
+  KnnTally& operator=(const KnnTally&) = delete;
+  /// Adds every non-zero field to its registry counter, one relaxed add
+  /// each; leaf scans go to the SIMD level active at that moment.
+  ~KnnTally();
 };
 
 /// Implements Eq. 2 without allocating: merges two candidate neighbor lists,

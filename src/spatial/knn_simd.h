@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD leaf-scan kernels for the batch-kNN hot path.
 //
-// Stage-1 kNN dominates the SR frame budget (ROADMAP: knn_ms ~ 50x
-// interp_ms), and nearly all of that time is spent measuring candidate
-// distances inside kd-tree leaves / octree cells. The paper's GPU client
+// Stage-1 kNN is the largest share of the SR frame budget (perfbench's
+// spatial.knn_ms and sr.knn_ms ledger entries), and nearly all of that time
+// is spent measuring candidate distances inside kd-tree leaves / octree
+// cells. The paper's GPU client
 // (§4.1) brute-force-scans an octree cell with thousands of threads; the CPU
 // substrate equivalent is a vectorized leaf scan: every kd-tree leaf keeps an
 // SoA mirror of its points (x[]/y[]/z[] contiguous, padded to kSoaLeafPad),

@@ -4,28 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace volut {
-
-namespace {
-constexpr std::uint32_t kNoExclude =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// Queries answered entirely by the own-cell fast path vs. ones that spilled
-/// into the multi-cell search — the ratio the two-layer design bets on.
-Counter& octree_query_counter() {
-  static Counter& c =
-      MetricsRegistry::global().counter("spatial/octree_cell_queries");
-  return c;
-}
-Counter& octree_spill_counter() {
-  static Counter& c =
-      MetricsRegistry::global().counter("spatial/octree_spills");
-  return c;
-}
-}  // namespace
 
 void TwoLayerOctree::build(std::span<const Vec3f> positions,
                            ThreadPool* pool) {
@@ -117,15 +98,18 @@ AABB TwoLayerOctree::cell_bounds(int cx, int cy, int cz) const {
 }
 
 void TwoLayerOctree::knn_into(const Vec3f& query, NeighborHeap& heap,
-                              std::uint32_t exclude_global) const {
+                              std::uint32_t exclude_global,
+                              KnnTally* tally) const {
+  KnnTally local;
+  KnnTally& t = tally != nullptr ? *tally : local;
   // Fast path (the property the paper builds the two-layer octree around):
   // most queries resolve entirely within their own cell. Search it first; if
   // the current worst candidate is closer than every wall of the cell, no
   // other cell can contain a better neighbor and we are done.
   const int own = cell_of(query);
   const Cell& own_cell = cells_[static_cast<std::size_t>(own)];
-  octree_query_counter().add();
-  own_cell.tree.knn_into(query, heap, /*index_offset=*/0, exclude_global);
+  ++t.octree_cell_queries;
+  own_cell.tree.knn_into(query, heap, /*index_offset=*/0, exclude_global, &t);
   if (heap.full()) {
     const int cx = own / (kCellsPerAxis * kCellsPerAxis);
     const int cy = (own / kCellsPerAxis) % kCellsPerAxis;
@@ -147,7 +131,7 @@ void TwoLayerOctree::knn_into(const Vec3f& query, NeighborHeap& heap,
   // cell box; search in that order (sharing the heap so the worst-distance
   // bound prunes across cells) and stop once the next cell cannot beat the
   // current worst neighbor.
-  octree_spill_counter().add();
+  ++t.octree_spills;
   struct CellDist {
     float d2;
     int cell;
@@ -177,7 +161,7 @@ void TwoLayerOctree::knn_into(const Vec3f& query, NeighborHeap& heap,
     }
     const Cell& cell =
         cells_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)].cell)];
-    cell.tree.knn_into(query, heap, /*index_offset=*/0, exclude_global);
+    cell.tree.knn_into(query, heap, /*index_offset=*/0, exclude_global, &t);
   }
 }
 
@@ -186,7 +170,7 @@ std::vector<Neighbor> TwoLayerOctree::knn(const Vec3f& query,
   if (empty() || k == 0) return {};
   std::vector<Neighbor> result(std::min(k, size()));
   NeighborHeap heap(result);
-  knn_into(query, heap, kNoExclude);
+  knn_into(query, heap, KdTree::kNoExclude);
   result.resize(heap.sort_ascending());
   return result;
 }
@@ -200,6 +184,7 @@ void TwoLayerOctree::batch_knn(std::size_t k, NeighborBuffer& out,
       pool, kNumCells, /*chunk=*/1,
       [&](std::size_t c, std::size_t, std::size_t) {
         const Cell& cell = cells_[c];
+        KnnTally tally;
         for (std::uint32_t fi = cell.begin; fi < cell.end; ++fi) {
           // The query's arena slot backs the heap; cell trees report global
           // indices directly, so the sorted slot is the final answer.
@@ -207,14 +192,15 @@ void TwoLayerOctree::batch_knn(std::size_t k, NeighborBuffer& out,
           const std::span<Neighbor> storage = out.slot(g);
           NeighborHeap heap(storage);
           if (exact) {
-            knn_into(flat_points_[fi], heap, g);
+            knn_into(flat_points_[fi], heap, g, &tally);
           } else {
             // Own-cell search only; spill to the full search just for the
             // rare under-populated cells.
-            cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g);
+            cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g,
+                               &tally);
             if (!heap.full()) {
               heap.clear();
-              knn_into(flat_points_[fi], heap, g);
+              knn_into(flat_points_[fi], heap, g, &tally);
             }
           }
           out.set_count(g, heap.sort_ascending());

@@ -96,9 +96,10 @@ class TwoLayerOctree {
 
   /// Cell trees report global indices (KdTree report_indices remap), so the
   /// shared heap collects — and tie-breaks on — final indices; `exclude`
-  /// is a global index too.
+  /// is a global index too. `tally` as for KdTree::knn_into.
   void knn_into(const Vec3f& query, NeighborHeap& heap,
-                std::uint32_t exclude_global) const;
+                std::uint32_t exclude_global,
+                KnnTally* tally = nullptr) const;
   AABB cell_bounds(int cx, int cy, int cz) const;
 
   std::size_t size_ = 0;

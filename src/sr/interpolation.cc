@@ -175,6 +175,7 @@ void interpolate_into(const PointCloud& input, double ratio,
   }
 
   auto process_range = [&](std::size_t, std::size_t begin, std::size_t end) {
+    KnnTally tally;  // used by the no-reuse ablation only
     for (std::size_t j = begin; j < end; ++j) {
       const Vec3f& np = result.cloud.position(new_begin + j);
       if (config.reuse_neighbors) {
@@ -198,7 +199,8 @@ void interpolate_into(const PointCloud& input, double ratio,
                    input.positions(), k, result.new_neighbors.slot(j)));
       } else {
         NeighborHeap heap(result.new_neighbors.slot(j));
-        s.kdtree.knn_into(np, heap);
+        s.kdtree.knn_into(np, heap, /*index_offset=*/0, KdTree::kNoExclude,
+                          &tally);
         result.new_neighbors.set_count(j, heap.sort_ascending());
       }
       if (config.colorize) {

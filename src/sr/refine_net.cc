@@ -37,6 +37,7 @@ TrainingSet build_training_set(const PointCloud& ground_truth,
     axis.targets.reserve(count);
   }
 
+  KnnTally tally;
   for (std::size_t j = 0; j < count; ++j) {
     const Vec3f& center = ir.cloud.position(new_begin + j);
     const EncodedNeighborhood enc = encode_neighborhood(
@@ -44,7 +45,7 @@ TrainingSet build_training_set(const PointCloud& ground_truth,
     if (enc.radius <= 0.0f) continue;
     // Supervision: displacement to the nearest ground-truth point,
     // normalized by the neighborhood radius (Eq. 9's per-point term).
-    const Neighbor nearest_gt = gt_tree.nearest(center);
+    const Neighbor nearest_gt = gt_tree.nearest(center, &tally);
     if (nearest_gt.index == KdTree::kNoNeighbor) continue;  // empty GT cloud
     const Vec3f delta =
         (ground_truth.position(nearest_gt.index) - center) / enc.radius;

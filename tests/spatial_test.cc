@@ -7,8 +7,11 @@
 #include <array>
 #include <vector>
 
+#include "src/core/point_cloud.h"
 #include "src/core/rng.h"
 #include "src/core/vec3.h"
+#include "src/metrics/chamfer.h"
+#include "src/obs/metrics.h"
 #include "src/platform/thread_pool.h"
 #include "src/spatial/kdtree.h"
 #include "src/spatial/knn.h"
@@ -648,6 +651,107 @@ TEST(BatchKnnKdtreeTest, PoolResultIsBitIdenticalToSerial) {
     for (std::size_t j = 0; j < serial[i].size(); ++j) {
       EXPECT_EQ(serial[i][j].index, parallel[i][j].index);
       EXPECT_EQ(serial[i][j].dist2, parallel[i][j].dist2);
+    }
+  }
+}
+
+// The six spatial/* search counters (leaf scans split by SIMD level).
+constexpr std::array<const char*, 8> kSearchCounters = {
+    "spatial/knn_queries",         "spatial/leaf_scans/scalar",
+    "spatial/leaf_scans/sse2",     "spatial/leaf_scans/avx2",
+    "spatial/points_scanned",      "spatial/heap_pushes",
+    "spatial/octree_cell_queries", "spatial/octree_spills"};
+constexpr std::size_t kQueriesSlot = 0;
+constexpr std::size_t kHeapPushesSlot = 5;
+constexpr std::size_t kCellQueriesSlot = 6;
+using SearchCounts = std::array<std::uint64_t, kSearchCounters.size()>;
+
+/// Registry delta of every search counter across `fn()`.
+template <typename Fn>
+SearchCounts search_counter_delta(const Fn& fn) {
+  const MetricsRegistry& reg = MetricsRegistry::global();
+  SearchCounts before{};
+  for (std::size_t i = 0; i < kSearchCounters.size(); ++i) {
+    before[i] = reg.counter_value(kSearchCounters[i]);
+  }
+  fn();
+  SearchCounts delta{};
+  for (std::size_t i = 0; i < kSearchCounters.size(); ++i) {
+    delta[i] = reg.counter_value(kSearchCounters[i]) - before[i];
+  }
+  return delta;
+}
+
+// Batch searches tally per chunk and flush once per chunk: the registry
+// totals read after the call must be exactly the per-query sums of the
+// one-shot searches, whatever the worker count.
+TEST(KnnTallyTest, BatchCountersMatchOneShotSearchesAtAnyWorkerCount) {
+  Rng rng(97);
+  const auto cloud = random_points(6000, rng);
+  const auto queries = random_points(3000, rng);
+  // Both chamfer directions span more than one 8192-point reduce chunk.
+  const PointCloud a = PointCloud::from_positions(random_points(9000, rng));
+  const PointCloud b = PointCloud::from_positions(random_points(8500, rng));
+  const KdTree tree(cloud);
+  const TwoLayerOctree octree(cloud);
+  constexpr std::size_t k = 8;
+
+  const SearchCounts kdtree_oracle = search_counter_delta([&] {
+    for (const Vec3f& q : queries) tree.knn(q, k);
+  });
+  // batch_knn excludes each query point from its own search. The one-shot
+  // search with k + 1 keeps it instead: at distance 0 it never leaves the
+  // heap, so once the first leaf is scanned both searches hold the same
+  // worst distance and visit the same cells and leaves. Only the pushes
+  // inside that first leaf differ, so heap pushes are left out of this
+  // oracle and pinned across worker counts below.
+  SearchCounts octree_oracle = search_counter_delta([&] {
+    for (const Vec3f& p : cloud) octree.knn(p, k + 1);
+  });
+  octree_oracle[kHeapPushesSlot] = 0;
+  const SearchCounts chamfer_oracle = search_counter_delta([&] {
+    const KdTree to_a(a.positions());
+    const KdTree to_b(b.positions());
+    for (const Vec3f& p : a.positions()) to_b.knn(p, 1);
+    for (const Vec3f& p : b.positions()) to_a.knn(p, 1);
+  });
+  if (VOLUT_OBS_ENABLED) {
+    EXPECT_EQ(kdtree_oracle[kQueriesSlot], queries.size());
+    EXPECT_EQ(octree_oracle[kCellQueriesSlot], cloud.size());
+    EXPECT_EQ(chamfer_oracle[kQueriesSlot], a.size() + b.size());
+  }
+
+  NeighborBuffer out;
+  const SearchCounts exact_serial = search_counter_delta(
+      [&] { octree.batch_knn(k, out, nullptr, /*exact=*/true); });
+  const SearchCounts approx_serial = search_counter_delta(
+      [&] { octree.batch_knn(k, out, nullptr, /*exact=*/false); });
+  SearchCounts exact_scans = exact_serial;
+  exact_scans[kHeapPushesSlot] = 0;
+  EXPECT_EQ(exact_scans, octree_oracle);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    SCOPED_TRACE(pool == nullptr ? 0 : pool->worker_count());
+    const SearchCounts octree_exact = search_counter_delta(
+        [&] { octree.batch_knn(k, out, pool, /*exact=*/true); });
+    const SearchCounts octree_approx = search_counter_delta(
+        [&] { octree.batch_knn(k, out, pool, /*exact=*/false); });
+    const SearchCounts kdtree = search_counter_delta(
+        [&] { batch_knn_kdtree(tree, queries, k, out, pool); });
+    const SearchCounts chamfer =
+        search_counter_delta([&] { chamfer_distance(a, b, pool); });
+    EXPECT_EQ(octree_exact, exact_serial);
+    EXPECT_EQ(octree_approx, approx_serial);
+    EXPECT_EQ(kdtree, kdtree_oracle);
+    EXPECT_EQ(chamfer, chamfer_oracle);
+    if (VOLUT_OBS_ENABLED) {
+      EXPECT_EQ(octree_approx[kQueriesSlot], cloud.size());
+    } else {
+      for (const SearchCounts& d :
+           {octree_exact, octree_approx, kdtree, chamfer}) {
+        EXPECT_EQ(d, SearchCounts{});
+      }
     }
   }
 }
