@@ -1,59 +1,26 @@
 // Deterministic pseudo-random number generation.
 //
 // All randomized stages in VoLUT (random downsampling, dilated-neighborhood
-// subset selection, training-noise injection) take an explicit Rng so results
-// are reproducible across runs and platforms.
+// subset selection, training-noise injection) take an explicit generator so
+// results are reproducible across runs, platforms and standard libraries.
 //
-// Two generators live here:
-//   - Rng: a sequential engine (mt19937_64). Draw order matters, so any loop
-//     that shares one Rng is inherently serial.
-//   - CounterRng: a counter-based (SplitMix/Philox-style) generator whose
-//     i-th draw of stream s under seed k is a pure function hash(k, s, i).
-//     Any cell of a parallel loop can derive its draws independently, which
-//     is what unlocks worker-count-independent parallelism in the SR hot
-//     path (stream = source index, counter = draw number within the stream).
+// There is one generator, CounterRng: a counter-based (SplitMix/Philox-style)
+// generator whose i-th draw of stream s under seed k is a pure function
+// hash(k, s, i), and whose integer, float and Gaussian draws are spelled out
+// here rather than left to <random>'s implementation-defined distributions.
+// Any cell of a parallel loop can derive its draws independently, which is
+// what unlocks worker-count-independent parallelism in the SR hot path
+// (stream = source index, counter = draw number within the stream).
+//
+// `Rng` is a second name for the same class, not a second generator: the
+// call sites that take one generator and draw from it in order, the
+// benchmark program in perfbench/ among them, spell it that way.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <random>
 
 namespace volut {
-
-/// Thin wrapper over a fixed-algorithm 64-bit generator (splitmix64-seeded
-/// xoshiro-like std::mt19937_64). Explicit seeding everywhere; no global state.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) : gen_(seed) {}
-
-  /// Uniform in [0, n). n must be > 0.
-  std::uint64_t next(std::uint64_t n) {
-    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(gen_);
-  }
-
-  /// Uniform float in [0, 1).
-  float uniform() {
-    return std::uniform_real_distribution<float>(0.0f, 1.0f)(gen_);
-  }
-
-  /// Uniform float in [lo, hi).
-  float uniform(float lo, float hi) {
-    return std::uniform_real_distribution<float>(lo, hi)(gen_);
-  }
-
-  /// Normal with mean 0 and the given standard deviation.
-  float gaussian(float sigma) {
-    return std::normal_distribution<float>(0.0f, sigma)(gen_);
-  }
-
-  /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(float p) { return uniform() < p; }
-
-  std::mt19937_64& engine() { return gen_; }
-
- private:
-  std::mt19937_64 gen_;
-};
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixing function. The core of
 /// CounterRng and usable on its own for one-shot hashing of small keys.
@@ -88,7 +55,7 @@ class CounterRng {
   }
 
   /// Uniform in [0, n), n > 0. Lemire multiply-shift with rejection:
-  /// unbiased, and (unlike std::uniform_int_distribution) the same value on
+  /// unbiased, and (unlike <random>'s integer distribution) the same value on
   /// every platform for a given counter.
   std::uint64_t next(std::uint64_t n) {
     unsigned __int128 m = static_cast<unsigned __int128>(next_u64()) * n;
@@ -130,5 +97,7 @@ class CounterRng {
   std::uint64_t key_;
   std::uint64_t counter_;
 };
+
+using Rng = CounterRng;
 
 }  // namespace volut

@@ -9,7 +9,7 @@ namespace volut {
 
 MotionTrace MotionTrace::generate(const MotionTraceSpec& spec, int user) {
   constexpr float kPi = std::numbers::pi_v<float>;
-  Rng rng(spec.seed + std::uint64_t(user) * 0x9E3779B97F4A7C15ull);
+  CounterRng rng(spec.seed, /*stream=*/std::uint64_t(user));
   const float phase0 = rng.uniform(0.0f, 2.0f * kPi);
   const float radius = spec.orbit_radius * rng.uniform(0.85f, 1.15f);
   const float speed_scale = rng.uniform(0.8f, 1.25f);

@@ -272,7 +272,7 @@ PointCloud SyntheticVideo::frame_at_density(std::size_t t,
   const std::size_t base_frame = t % spec_.frame_count;
   const float phase =
       float(base_frame) / float(std::max<std::size_t>(1, spec_.frame_count));
-  Rng rng(spec_.seed * 0x9E3779B97F4A7C15ull + base_frame * 0xBF58476D1CE4E5B9ull);
+  CounterRng rng(spec_.seed, /*stream=*/base_frame);
   switch (spec_.id) {
     case VideoId::kDress: return build_dress(points, phase, rng);
     case VideoId::kLoot: return build_loot(points, phase, rng);

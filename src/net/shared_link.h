@@ -32,7 +32,9 @@ class SharedLink {
   /// Total bits drained across all flows so far (conservation accounting;
   /// includes bits delivered to later-aborted flows).
   double bits_drained() const { return bits_drained_; }
-  /// Total bytes of fully completed flows.
+  /// Flows started and fully completed so far, and the bytes of the latter.
+  std::uint64_t flows_started() const { return next_id_ - 1; }
+  std::uint64_t flows_completed() const { return flows_completed_; }
   double bytes_completed() const { return bytes_completed_; }
 
   /// Capacity multiplier applied on top of the trace: 1 nominal, 0 during a
@@ -104,6 +106,7 @@ class SharedLink {
   double rate_scale_ = 1.0;
   double bits_drained_ = 0.0;
   double bytes_completed_ = 0.0;
+  std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_aborted_ = 0;
   double bytes_aborted_ = 0.0;
 };

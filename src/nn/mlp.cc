@@ -29,35 +29,19 @@ void read_floats(std::istream& is, float* p, std::size_t n) {
 
 }  // namespace
 
-LinearLayer::LinearLayer(std::size_t in, std::size_t out, bool relu_, Rng& rng)
+LinearLayer::LinearLayer(std::size_t in, std::size_t out, bool relu_)
     : w(out, in),
       b(out, 0.0f),
       grad_w(out, in),
       grad_b(out, 0.0f),
-      relu(relu_) {
-  // He initialization: suited to ReLU hidden layers.
-  const float scale = std::sqrt(2.0f / static_cast<float>(in));
-  for (float& v : w.raw()) v = rng.gaussian(scale);
-}
+      relu(relu_) {}
 
 LinearLayer::LinearLayer(std::size_t in, std::size_t out, bool relu_,
                          CounterRng& rng)
-    : w(out, in),
-      b(out, 0.0f),
-      grad_w(out, in),
-      grad_b(out, 0.0f),
-      relu(relu_) {
+    : LinearLayer(in, out, relu_) {
+  // He initialization: suited to ReLU hidden layers.
   const float scale = std::sqrt(2.0f / static_cast<float>(in));
   for (float& v : w.raw()) v = rng.gaussian(scale);
-}
-
-Mlp::Mlp(const std::vector<std::size_t>& dims, Rng& rng) {
-  if (dims.size() < 2) throw std::invalid_argument("Mlp needs >= 2 dims");
-  layers_.reserve(dims.size() - 1);
-  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    const bool relu = i + 2 < dims.size();  // linear final layer
-    layers_.emplace_back(dims[i], dims[i + 1], relu, rng);
-  }
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, CounterRng& rng) {
@@ -151,19 +135,31 @@ void Mlp::save(std::ostream& os) const {
 }
 
 Mlp Mlp::load(std::istream& is) {
+  const auto read_field = [&is] {
+    const std::uint64_t v = read_u64(is);
+    if (!is) throw std::runtime_error("Mlp::load: truncated stream");
+    return v;
+  };
+  const std::uint64_t n_layers = read_field();
+  if (n_layers == 0) throw std::runtime_error("Mlp::load: no layers");
   Mlp mlp;
-  const std::uint64_t n_layers = read_u64(is);
-  Rng dummy(0);
   for (std::uint64_t i = 0; i < n_layers; ++i) {
-    const std::size_t out = read_u64(is);
-    const std::size_t in = read_u64(is);
-    const bool relu = read_u64(is) != 0;
-    LinearLayer layer(in, out, relu, dummy);
+    const std::uint64_t out = read_field();
+    const std::uint64_t in = read_field();
+    const bool relu = read_field() != 0;
+    if (out == 0 || in == 0 || out > kMaxLayerDim || in > kMaxLayerDim) {
+      throw std::runtime_error("Mlp::load: layer dimension out of range");
+    }
+    if (i > 0 && in != mlp.layers_.back().out_features()) {
+      throw std::runtime_error(
+          "Mlp::load: layer input size differs from the previous output");
+    }
+    LinearLayer layer(in, out, relu);
     read_floats(is, layer.w.data(), layer.w.size());
     read_floats(is, layer.b.data(), layer.b.size());
+    if (!is) throw std::runtime_error("Mlp::load: truncated stream");
     mlp.layers_.push_back(std::move(layer));
   }
-  if (!is) throw std::runtime_error("Mlp::load: truncated stream");
   return mlp;
 }
 

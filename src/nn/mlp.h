@@ -12,6 +12,9 @@
 
 namespace volut::nn {
 
+/// Largest layer width or input size Mlp::load accepts from a stream.
+inline constexpr std::size_t kMaxLayerDim = 4096;
+
 /// One fully connected layer (weights out x in, bias out) with cached
 /// activations for backprop.
 struct LinearLayer {
@@ -21,9 +24,10 @@ struct LinearLayer {
   std::vector<float> grad_b;
   bool relu = true;         // apply ReLU after the affine map
 
-  LinearLayer(std::size_t in, std::size_t out, bool relu_, Rng& rng);
-  /// Counter-based init: the weight draws come from `rng`'s stream, so two
-  /// layers initialized from distinct streams are order-independent.
+  /// Zero weights and bias (Mlp::load fills them from a stream).
+  LinearLayer(std::size_t in, std::size_t out, bool relu_);
+  /// He-initialized weights drawn from `rng`'s stream, so two layers
+  /// initialized from distinct streams are order-independent.
   LinearLayer(std::size_t in, std::size_t out, bool relu_, CounterRng& rng);
 
   std::size_t in_features() const { return w.cols(); }
@@ -33,9 +37,8 @@ struct LinearLayer {
 /// MLP: input -> [hidden, ReLU]* -> linear output.
 class Mlp {
  public:
-  /// `dims` = {in, h1, ..., out}; must have >= 2 entries.
-  Mlp(const std::vector<std::size_t>& dims, Rng& rng);
-  /// Same, drawing initial weights from a counter-based stream.
+  /// `dims` = {in, h1, ..., out}; must have >= 2 entries. Initial weights
+  /// are drawn from `rng` in layer order.
   Mlp(const std::vector<std::size_t>& dims, CounterRng& rng);
 
   std::size_t input_dim() const { return layers_.front().in_features(); }
@@ -59,7 +62,11 @@ class Mlp {
   std::vector<LinearLayer>& layers() { return layers_; }
   const std::vector<LinearLayer>& layers() const { return layers_; }
 
-  /// Binary serialization (architecture + weights).
+  /// Binary serialization (architecture + weights). load() checks every
+  /// header field before it sizes an allocation and throws
+  /// std::runtime_error on a truncated stream, an empty net, a dimension
+  /// that is zero or above kMaxLayerDim, or a layer whose input size is not
+  /// the previous layer's output size.
   void save(std::ostream& os) const;
   static Mlp load(std::istream& is);
 

@@ -143,10 +143,11 @@ void measure_sr_samples(const std::vector<SrWorkItem>& work,
               });
 }
 
-/// Adds one run's serve totals to the process-wide registry. The result's
-/// structs are the only store of these counts; the registry accumulates
-/// across runs, so each run adds its totals once, at its end, and never
-/// overwrites what earlier runs published.
+/// Adds one run's serve totals, and its replica uplinks' net/* flow totals,
+/// to the process-wide registry. The result's structs are the only store of
+/// these counts; the registry accumulates across runs, so each run adds its
+/// totals once, at its end, and never overwrites what earlier runs
+/// published.
 void publish_serve_metrics(const FleetResult& result,
                            const std::vector<double>& failover_latencies) {
   MetricsRegistry& reg = MetricsRegistry::global();
@@ -166,8 +167,14 @@ void publish_serve_metrics(const FleetResult& result,
   }
   const EncodeQueueStats& encode = result.encode_queue;
   std::uint64_t breaker_trips = 0;
+  std::uint64_t flows_started = 0, flows_completed = 0, flows_aborted = 0;
+  double bytes_completed = 0.0;
   for (const ReplicaStats& replica : result.replicas) {
     breaker_trips += replica.breaker_trips;
+    flows_started += replica.flows_started;
+    flows_completed += replica.flows_completed;
+    flows_aborted += replica.flows_aborted;
+    bytes_completed += replica.bytes_completed;
   }
   const std::pair<const char*, std::uint64_t> run_counters[] = {
       {"serve/encode/starts", encode.encode_starts},
@@ -182,6 +189,10 @@ void publish_serve_metrics(const FleetResult& result,
       {"serve/fleet/downloads_aborted", result.downloads_aborted},
       {"serve/fleet/density_downshifts", result.degraded_chunks},
       {"serve/fleet/breaker_trips", breaker_trips},
+      {"net/flows_started", flows_started},
+      {"net/flows_completed", flows_completed},
+      {"net/flows_aborted", flows_aborted},
+      {"net/bytes_completed", std::uint64_t(std::llround(bytes_completed))},
   };
   for (const auto& [name, value] : run_counters) reg.counter(name).add(value);
   reg.gauge("serve/encode/peak_in_flight")
@@ -893,6 +904,9 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   result.encode_queue = queue.stats();
   for (std::size_t r = 0; r < n_replicas; ++r) {
     ReplicaStats& stats = result.replicas[r];
+    stats.flows_started = links[r].flows_started();
+    stats.flows_completed = links[r].flows_completed();
+    stats.flows_aborted = links[r].flows_aborted();
     stats.bytes_completed = links[r].bytes_completed();
     stats.bits_drained = links[r].bits_drained();
     stats.uplink_trace_wraps = links[r].trace().wrap_count(now);

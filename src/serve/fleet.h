@@ -136,6 +136,10 @@ struct ReplicaStats {
   /// Sessions bound to this replica, failover re-admissions included.
   std::size_t sessions_assigned = 0;
   std::size_t peak_concurrent_flows = 0;
+  /// The replica uplink's SharedLink totals at the end of the run.
+  std::uint64_t flows_started = 0;
+  std::uint64_t flows_completed = 0;
+  std::uint64_t flows_aborted = 0;
   double bytes_completed = 0.0;
   double bits_drained = 0.0;
   /// Times the uplink trace silently repeated during the run; nonzero means

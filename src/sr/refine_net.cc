@@ -4,6 +4,8 @@
 #include <istream>
 #include <numeric>
 #include <ostream>
+#include <stdexcept>
+#include <utility>
 
 #include "src/spatial/kdtree.h"
 #include "src/sr/position_encoding.h"
@@ -124,7 +126,9 @@ float RefineNet::train(const TrainingSet& data) {
 
     float epoch_loss = 0.0f;
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-      std::shuffle(order.begin(), order.end(), shuffle_rng.engine());
+      for (std::size_t i = order.size(); i > 1; --i) {  // Fisher-Yates
+        std::swap(order[i - 1], order[shuffle_rng.next(i)]);
+      }
       epoch_loss = 0.0f;
       std::size_t batches = 0;
       for (std::size_t begin = 0; begin < order.size();
@@ -165,16 +169,29 @@ void RefineNet::save(std::ostream& os) const {
   for (const nn::Mlp& net : nets_) net.save(os);
 }
 
+RefineNet::RefineNet(const RefineNetConfig& config, std::vector<nn::Mlp> nets)
+    : config_(config), nets_(std::move(nets)) {}
+
 RefineNet RefineNet::load(std::istream& is) {
   std::uint64_t rf = 0;
   is.read(reinterpret_cast<char*>(&rf), sizeof(rf));
+  if (!is) throw std::runtime_error("RefineNet::load: truncated stream");
+  if (rf < 2 || rf > kMaxReceptiveField) {
+    throw std::runtime_error("RefineNet::load: receptive field out of range");
+  }
+  std::vector<nn::Mlp> nets;
+  nets.reserve(3);
+  for (int a = 0; a < 3; ++a) {
+    nets.push_back(nn::Mlp::load(is));
+    if (nets.back().input_dim() != rf || nets.back().output_dim() != 1) {
+      throw std::runtime_error(
+          "RefineNet::load: axis net does not map the receptive field to one "
+          "offset");
+    }
+  }
   RefineNetConfig cfg;
   cfg.receptive_field = rf;
-  RefineNet net(cfg);
-  net.nets_.clear();
-  net.nets_.reserve(3);
-  for (int a = 0; a < 3; ++a) net.nets_.push_back(nn::Mlp::load(is));
-  return net;
+  return RefineNet(cfg, std::move(nets));
 }
 
 }  // namespace volut

@@ -86,11 +86,16 @@ class RefineNet {
   std::size_t parameter_count() const;
 
   void save(std::ostream& os) const;
+  /// Throws std::runtime_error on a truncated stream, a receptive field
+  /// outside [2, kMaxReceptiveField], or an axis net that does not map that
+  /// many inputs to one output (on top of nn::Mlp::load's checks).
   static RefineNet load(std::istream& is);
 
   const nn::Mlp& axis_net(int axis) const { return nets_[axis]; }
 
  private:
+  RefineNet(const RefineNetConfig& config, std::vector<nn::Mlp> nets);
+
   RefineNetConfig config_;
   std::vector<nn::Mlp> nets_;  // one per axis
 };

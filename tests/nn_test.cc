@@ -2,8 +2,13 @@
 // gradients, Adam convergence on analytic functions, serialization.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/core/rng.h"
 #include "src/nn/matrix.h"
@@ -182,6 +187,56 @@ TEST(MlpTest, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_FLOAT_EQ(after.raw()[i], before.raw()[i]);
   }
+}
+
+/// A raw model stream: the layer count, then per layer (out, in, relu) and
+/// out*in + out floats (all zero here).
+std::string model_stream(
+    const std::vector<std::array<std::uint64_t, 2>>& out_in) {
+  std::string bytes;
+  const auto put = [&bytes](std::uint64_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(out_in.size());
+  for (const auto& [out, in] : out_in) {
+    put(out);
+    put(in);
+    put(1);
+    bytes.append((out * in + out) * sizeof(float), '\0');
+  }
+  return bytes;
+}
+
+TEST(MlpTest, LoadRejectsCorruptStreams) {
+  // A header declaring a 2^22 x 2^22 layer must throw before allocating.
+  std::stringstream huge;
+  const std::uint64_t header[] = {1, 1ull << 22, 1ull << 22, 0};
+  huge.write(reinterpret_cast<const char*>(header), sizeof(header));
+  EXPECT_THROW(Mlp::load(huge), std::runtime_error);
+
+  // Layers that do not chain: the second layer's input (7) is not the
+  // first layer's output (3).
+  std::stringstream unchained(model_stream({{3, 4}, {1, 7}}));
+  EXPECT_THROW(Mlp::load(unchained), std::runtime_error);
+
+  std::stringstream zero_dim(model_stream({{0, 4}}));
+  EXPECT_THROW(Mlp::load(zero_dim), std::runtime_error);
+  std::stringstream no_layers(model_stream({}));
+  EXPECT_THROW(Mlp::load(no_layers), std::runtime_error);
+
+  // Every truncation of a valid stream throws: mid-header and mid-weights.
+  Rng rng(10);
+  std::stringstream ss;
+  Mlp({3, 5, 2}, rng).save(ss);
+  const std::string full = ss.str();
+  for (const std::size_t cut : {std::size_t(0), std::size_t(4),
+                                std::size_t(20), full.size() / 2,
+                                full.size() - 1}) {
+    std::stringstream truncated(full.substr(0, cut));
+    EXPECT_THROW(Mlp::load(truncated), std::runtime_error) << cut;
+  }
+  std::stringstream whole(full);
+  EXPECT_EQ(Mlp::load(whole).output_dim(), 2u);
 }
 
 TEST(MlpTest, InvalidDimsThrow) {

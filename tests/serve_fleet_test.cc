@@ -5,6 +5,7 @@
 // Labeled "integration" in ctest.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -293,6 +294,23 @@ TEST(FleetSweepTest, RegistryCountersAgreeWithLegacyAccessors) {
     for (const auto& [name, value] : published_counters(result)) {
       EXPECT_EQ(reg.counter_value(name), value) << name;
     }
+    // The net/* flow totals are the replica uplinks' own counts, summed.
+    std::uint64_t started = 0, completed = 0, aborted = 0;
+    double bytes = 0.0;
+    for (const ReplicaStats& replica : result.replicas) {
+      started += replica.flows_started;
+      completed += replica.flows_completed;
+      aborted += replica.flows_aborted;
+      bytes += replica.bytes_completed;
+    }
+    EXPECT_EQ(reg.counter_value("net/flows_started"), started);
+    EXPECT_EQ(reg.counter_value("net/flows_completed"), completed);
+    EXPECT_EQ(reg.counter_value("net/flows_aborted"), aborted);
+    EXPECT_EQ(reg.counter_value("net/bytes_completed"),
+              std::uint64_t(std::llround(bytes)));
+    EXPECT_GT(completed, 0u);
+    EXPECT_EQ(started, completed + aborted);  // no flow outlives the run
+    EXPECT_EQ(aborted, result.downloads_aborted);
     EXPECT_EQ(reg.gauge_value("serve/encode/peak_in_flight"),
               double(result.encode_queue.peak_in_flight));
     EXPECT_EQ(histogram_total("serve/fleet/failover_seconds"),

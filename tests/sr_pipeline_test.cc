@@ -3,8 +3,12 @@
 // end-to-end SrPipeline invariants the streaming system relies on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/rng.h"
 #include "src/data/synthetic_video.h"
@@ -219,6 +223,42 @@ TEST_F(TrainedSrTest, NetSaveLoadPreservesPredictions) {
   for (int a = 0; a < 3; ++a) {
     EXPECT_FLOAT_EQ(loaded.predict(a, coords), net_->predict(a, coords));
   }
+}
+
+TEST(RefineNetTest, LoadRejectsCorruptStreams) {
+  RefineNetConfig cfg;  // receptive field 4
+  cfg.hidden = {8};
+  std::stringstream ss;
+  RefineNet(cfg).save(ss);
+  const std::string saved = ss.str();
+  const auto with_rf = [&saved](std::uint64_t rf) {
+    std::string bytes = saved;
+    std::memcpy(bytes.data(), &rf, sizeof(rf));
+    return bytes;
+  };
+  // A header saying receptive field 6 over axis nets built for 4, and
+  // receptive fields outside [2, kMaxReceptiveField].
+  for (const std::uint64_t rf : {std::uint64_t(6), std::uint64_t(0),
+                                 std::uint64_t(1), std::uint64_t(7),
+                                 std::uint64_t(1) << 40}) {
+    std::stringstream corrupt(with_rf(rf));
+    EXPECT_THROW(RefineNet::load(corrupt), std::runtime_error) << rf;
+  }
+  // Axis nets that map the receptive field to two outputs, not one offset.
+  std::stringstream two_outputs;
+  const std::uint64_t rf = 4;
+  two_outputs.write(reinterpret_cast<const char*>(&rf), sizeof(rf));
+  Rng rng(3);
+  for (int a = 0; a < 3; ++a) nn::Mlp({4, 8, 2}, rng).save(two_outputs);
+  EXPECT_THROW(RefineNet::load(two_outputs), std::runtime_error);
+
+  for (const std::size_t cut : {std::size_t(0), std::size_t(5),
+                                saved.size() - 1}) {
+    std::stringstream truncated(saved.substr(0, cut));
+    EXPECT_THROW(RefineNet::load(truncated), std::runtime_error) << cut;
+  }
+  std::stringstream whole(saved);
+  EXPECT_EQ(RefineNet::load(whole).config().receptive_field, 4u);
 }
 
 TEST(SrPipelineTest, NullLutRejected) {

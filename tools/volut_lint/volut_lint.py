@@ -9,10 +9,12 @@ invariant into named, suppressible static checks that run anywhere CI does
 
 Rules
 -----
-  rand-source     All randomness flows through src/core/rng.h (Rng /
-                  CounterRng seeded streams). std::rand, srand,
-                  std::random_device and raw engine construction anywhere
-                  else make draws depend on call order or machine state.
+  rand-source     All randomness flows through src/core/rng.h (CounterRng
+                  seeded streams). std::rand, srand, std::random_device and
+                  raw engine construction make draws depend on call order or
+                  machine state; <random>'s distributions,
+                  generate_canonical, std::shuffle and std::sample make them
+                  depend on the standard library. No file is exempt.
   wall-clock      Sim-time code never reads a real clock. Only
                   src/platform/timer.h and src/obs/trace.{h,cc} (the
                   sanctioned wall-clock wrappers) may touch
@@ -232,22 +234,27 @@ def in_dirs(path: str, dirs: tuple[str, ...]) -> bool:
 # rand-source
 # ---------------------------------------------------------------------------
 
-RAND_ALLOWED = ("src/core/rng.h",)
+# Engines and entropy sources, plus the <random> algorithms whose output the
+# standard leaves to each library (distributions, generate_canonical,
+# shuffle, sample). shuffle/sample are common words, so they only count with
+# the std:: qualifier. No file is exempt, src/core/rng.h included.
 RAND_TOKENS = re.compile(
     r"(?<![\w:])(?:std::)?"
     r"(rand|srand|rand_r|drand48|random_device|mt19937(?:_64)?|"
-    r"minstd_rand0?|default_random_engine|ranlux\w+|knuth_b)\b"
+    r"minstd_rand0?|default_random_engine|ranlux\w+|knuth_b|"
+    r"\w+_distribution|generate_canonical)\b"
+    r"|(?<![\w:])(std::(?:shuffle|sample))\b"
 )
 # rand/srand only count as the C functions when called.
 CALL_ONLY = {"rand", "srand", "rand_r", "drand48"}
 
 
 def check_rand_source(sf: SourceFile, findings: list[Finding]) -> None:
-    if sf.path in RAND_ALLOWED or not sf.path.startswith("src/"):
+    if not sf.path.startswith("src/"):
         return
     for idx, line in enumerate(sf.lines, start=1):
         for m in RAND_TOKENS.finditer(line.code):
-            token = m.group(1)
+            token = m.group(1) or m.group(2)
             rest = line.code[m.end():]
             if token in CALL_ONLY and not rest.lstrip().startswith("("):
                 continue  # e.g. an identifier merely containing the name
@@ -255,9 +262,9 @@ def check_rand_source(sf: SourceFile, findings: list[Finding]) -> None:
                 continue
             findings.append(Finding(
                 sf.path, idx, "rand-source",
-                f"'{token}' outside src/core/rng.h — all randomness must "
-                "flow through Rng/CounterRng seeded streams (draw order and "
-                "machine state must not leak into results)"))
+                f"'{token}': all randomness must flow through CounterRng "
+                "seeded streams in src/core/rng.h (draw order, machine state "
+                "and the standard library must not leak into results)"))
 
 
 # ---------------------------------------------------------------------------
