@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "src/metrics/stats.h"
 
@@ -16,7 +16,7 @@ class ThroughputEstimator {
   /// Records one measured chunk throughput (Mbps).
   void add_sample(double mbps) {
     samples_.push_back(mbps);
-    if (samples_.size() > window_) samples_.pop_front();
+    if (samples_.size() > window_) samples_.erase(samples_.begin());
   }
 
   bool has_samples() const { return !samples_.empty(); }
@@ -24,12 +24,14 @@ class ThroughputEstimator {
   /// Harmonic-mean estimate; `fallback_mbps` until the first sample lands.
   double estimate_mbps(double fallback_mbps = 20.0) const {
     if (samples_.empty()) return fallback_mbps;
-    return harmonic_mean({samples_.begin(), samples_.end()});
+    return harmonic_mean(samples_);
   }
 
  private:
   std::size_t window_;
-  std::deque<double> samples_;
+  /// The last `window_` samples, oldest first. A handful of doubles, so
+  /// dropping the front is a short memmove, and estimates read it in place.
+  std::vector<double> samples_;
 };
 
 }  // namespace volut

@@ -237,7 +237,8 @@ struct FleetResult {
 /// waiting room, replica health) is touched only from this loop and is
 /// marked `// single-threaded: run_fleet` instead of lock-guarded (the
 /// convention in core/thread_annotations.h). Throws std::invalid_argument
-/// if no replicas are given.
+/// if no replicas are given, or when a client event time (an arrival, or
+/// one derived from the RTT or encode latency) is NaN.
 FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool = nullptr);
 
 /// Convenience mix: `n` clients with `arrival_spacing_seconds` staggered

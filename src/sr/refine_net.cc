@@ -179,6 +179,10 @@ RefineNet RefineNet::load(std::istream& is) {
   if (rf < 2 || rf > kMaxReceptiveField) {
     throw std::runtime_error("RefineNet::load: receptive field out of range");
   }
+  // The architecture comes from the stream: the hidden widths are the axis
+  // nets' layer outputs, all but the last, and the three nets must agree.
+  RefineNetConfig cfg;
+  cfg.receptive_field = rf;
   std::vector<nn::Mlp> nets;
   nets.reserve(3);
   for (int a = 0; a < 3; ++a) {
@@ -188,9 +192,18 @@ RefineNet RefineNet::load(std::istream& is) {
           "RefineNet::load: axis net does not map the receptive field to one "
           "offset");
     }
+    std::vector<std::size_t> hidden;
+    for (const nn::LinearLayer& layer : nets.back().layers()) {
+      hidden.push_back(layer.out_features());
+    }
+    hidden.pop_back();
+    if (a == 0) {
+      cfg.hidden = std::move(hidden);
+    } else if (hidden != cfg.hidden) {
+      throw std::runtime_error(
+          "RefineNet::load: axis nets disagree on hidden widths");
+    }
   }
-  RefineNetConfig cfg;
-  cfg.receptive_field = rf;
   return RefineNet(cfg, std::move(nets));
 }
 

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/core/rng.h"
 #include "src/data/synthetic_video.h"
@@ -259,6 +260,42 @@ TEST(RefineNetTest, LoadRejectsCorruptStreams) {
   }
   std::stringstream whole(saved);
   EXPECT_EQ(RefineNet::load(whole).config().receptive_field, 4u);
+}
+
+TEST(RefineNetTest, LoadDerivesHiddenWidthsFromStream) {
+  for (const std::vector<std::size_t>& hidden :
+       {std::vector<std::size_t>{8}, std::vector<std::size_t>{16, 4, 4}}) {
+    RefineNetConfig cfg;
+    cfg.receptive_field = 3;
+    cfg.hidden = hidden;
+    const RefineNet net(cfg);
+    std::stringstream ss;
+    net.save(ss);
+    const RefineNet loaded = RefineNet::load(ss);
+    EXPECT_EQ(loaded.config().hidden, hidden);
+    EXPECT_EQ(loaded.config().receptive_field, 3u);
+    EXPECT_EQ(loaded.parameter_count(), net.parameter_count());
+  }
+}
+
+TEST(RefineNetTest, LoadRejectsMismatchedAxisNets) {
+  // Each axis net alone is well formed (4 inputs, one offset), but the z
+  // net's hidden layer is wider than the x and y nets'.
+  std::stringstream mixed;
+  const std::uint64_t rf = 4;
+  mixed.write(reinterpret_cast<const char*>(&rf), sizeof(rf));
+  Rng rng(5);
+  nn::Mlp({4, 8, 1}, rng).save(mixed);
+  nn::Mlp({4, 8, 1}, rng).save(mixed);
+  nn::Mlp({4, 9, 1}, rng).save(mixed);
+  EXPECT_THROW(RefineNet::load(mixed), std::runtime_error);
+  // A net with an extra hidden layer disagrees as well.
+  std::stringstream deeper;
+  deeper.write(reinterpret_cast<const char*>(&rf), sizeof(rf));
+  nn::Mlp({4, 8, 1}, rng).save(deeper);
+  nn::Mlp({4, 8, 8, 1}, rng).save(deeper);
+  nn::Mlp({4, 8, 1}, rng).save(deeper);
+  EXPECT_THROW(RefineNet::load(deeper), std::runtime_error);
 }
 
 TEST(SrPipelineTest, NullLutRejected) {
