@@ -3,7 +3,9 @@
 // again in each of the request-release, arrival, waiting-room-timeout and
 // chunk-planning phases. It is the slow oracle that serve_fleet_diff_test
 // compares run_fleet against, kept verbatim except that it publishes no
-// registry metrics, observes no histograms and measures no SR samples.
+// registry metrics, observes no histograms and measures no SR samples, and
+// that a release serves a finished encode that is no longer resident
+// instead of re-requesting it (an uncacheable artifact never came back).
 #include "tests/fleet_reference.h"
 
 #include <algorithm>
@@ -592,7 +594,8 @@ FleetResult run_fleet_reference(const FleetConfig& config) {
     // 3. Requests whose RTT + encode latency elapsed become uplink flows.
     // Under faults the release re-checks the artifact: a retrying encode
     // pushes the release to its new completion time, a terminally failed
-    // one kills the session, an evicted one is re-requested.
+    // one kills the session. A finished encode is served whether or not it
+    // is still resident (evicted, or too large to cache), as without faults.
     for (std::size_t i = 0; i < n_clients; ++i) {
       ClientRuntime& c = clients[i];
       if (c.state != ClientState::kRequested || c.t_next > now) continue;
@@ -606,12 +609,6 @@ FleetResult run_fleet_reference(const FleetConfig& config) {
         }
         if (state == EncodeQueue::KeyState::kFailed) {
           fail_session(i, now);
-          continue;
-        }
-        if (state == EncodeQueue::KeyState::kAbsent) {
-          // Completed but evicted before this release: request it again
-          // (counts as a fresh miss) without re-planning the chunk.
-          submit_request(i, /*fresh=*/false);
           continue;
         }
       }

@@ -285,6 +285,28 @@ TEST(FaultScenarioTest, TerminalEncodeFailuresConvertToSessionErrors) {
   EXPECT_GT(r.events.type_count(FleetEventType::kEncodeGiveUp), 0u);
 }
 
+TEST(FaultScenarioTest, UncacheableArtifactsAreServedOnceEncoded) {
+  // A cache smaller than one chunk never holds a finished encode. With
+  // faults armed the release still serves it instead of re-requesting an
+  // artifact that can never become resident.
+  FleetConfig fleet = small_fleet(4, 1);
+  fleet.cache_budget_bytes = 1;
+  fleet.faults.encode_failure_rate = 0.2;
+  fleet.faults.seed = 3;
+  fleet.recovery.encode_max_attempts = 12;
+  fleet.recovery.encode_backoff_base_seconds = 0.05;
+  const FleetResult r = run_fleet(fleet);
+
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.unfinished_sessions, 0u);
+  EXPECT_GT(r.cache.oversized_rejects, 0u);
+  EXPECT_EQ(r.cache.hits, 0u);
+  EXPECT_EQ(r.failed_sessions, 0u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(r.sessions[i].chunks.size(), 8u) << "client " << i;
+  }
+}
+
 // ----------------------------------- waiting room × failover interactions
 
 // One client, one replica, admission cap 1: a crash forces the failover
