@@ -43,7 +43,6 @@ class SharedLink {
   /// must have advance()d up to that moment first. Throws
   /// std::invalid_argument on NaN or negative scales.
   void set_rate_scale(double scale);
-  double rate_scale() const { return rate_scale_; }
 
   /// Flows killed via abort_flow and the bytes they had already received
   /// (those bytes stay in bits_drained() but never reach bytes_completed()).

@@ -86,7 +86,6 @@ class AdamOptimizer {
 
   void step();
   float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
 
  private:
   struct Moments {

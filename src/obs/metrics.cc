@@ -108,11 +108,6 @@ MetricsRegistry::counters_with_prefix(std::string_view prefix) const {
   return out;
 }
 
-std::size_t MetricsRegistry::metric_count() const {
-  MutexLock lk(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 void MetricsRegistry::reset() {
   MutexLock lk(mu_);
   for (auto& [name, c] : counters_) c.reset();

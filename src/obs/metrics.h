@@ -178,8 +178,6 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, std::uint64_t>> counters_with_prefix(
       std::string_view prefix) const;
 
-  std::size_t metric_count() const;
-
   /// Zeroes every instrument but keeps all registrations (handles cached by
   /// hot paths stay valid). Tests reset between runs to compare totals.
   void reset();

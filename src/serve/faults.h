@@ -121,7 +121,6 @@ class FaultSchedule {
   FaultSchedule(const FaultScheduleConfig& config, std::size_t n_replicas);
 
   bool empty() const { return empty_; }
-  std::size_t replica_count() const { return replicas_.size(); }
 
   /// True while t lies in a crash window of replica r.
   bool replica_down(std::size_t r, double t) const;

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/abr/qoe.h"
 #include "src/metrics/chamfer.h"
 #include "src/obs/metrics.h"
 #include "src/sr/pipeline.h"
@@ -76,6 +75,30 @@ struct ClientRuntime {
   double failover_since = 0.0;
 };
 
+/// One replica's serving state: its uplink, the flows on it, the sessions
+/// bound to it and its fault health.
+struct Replica {
+  explicit Replica(const BandwidthTrace& uplink) : link(uplink) {}
+  SharedLink link;
+  /// Uplink flow id -> the client downloading it.
+  std::unordered_map<std::uint64_t, std::size_t> flow_owner;
+  /// Clients bound to this replica, in client-index order: the only record
+  /// of which sessions it serves, so its size is the replica's load.
+  std::set<std::size_t> sessions;
+  // Health: crash window, scheduled degradation, circuit breaker and the
+  // uplink scale last applied. eff_degraded (schedule OR breaker) is what
+  // routing and encoding consult; the *_since times feed ReplicaStats.
+  bool down = false;
+  bool sched_degraded = false;
+  bool breaker_open = false;
+  bool eff_degraded = false;
+  double breaker_until = kInf;
+  std::uint32_t consec_encode_failures = 0;
+  double link_scale = 1.0;
+  double down_since = 0.0;
+  double degraded_since = 0.0;
+};
+
 struct SrWorkItem {
   std::size_t client = 0;
   std::size_t chunk = 0;
@@ -97,22 +120,20 @@ EncodeCacheKey plan_key(const ClientRuntime& c, std::uint32_t buckets) {
 }
 
 /// Least-loaded replica with a free admission slot, lowest index on ties.
-/// Health-aware: down replicas are skipped outright and healthy replicas
-/// win over degraded ones regardless of load (degraded capacity is a last
-/// resort). With every replica healthy this reduces exactly to the original
-/// least-loaded rule, which is what keeps fault-free routing bit-identical.
-/// kNoReplica when no up replica has a slot.
-std::size_t route_arrival(const std::vector<std::size_t>& load,
-                          std::size_t cap, const std::vector<char>& down,
-                          const std::vector<char>& degraded) {
+/// Down replicas are skipped and healthy replicas win over degraded ones
+/// regardless of load (degraded capacity is a last resort). kNoReplica when
+/// no up replica has a slot.
+std::size_t route_arrival(const std::vector<Replica>& replicas,
+                          std::size_t cap) {
   std::size_t best = kNoReplica;
   bool best_degraded = false;
-  for (std::size_t r = 0; r < load.size(); ++r) {
-    if (down[r]) continue;
-    if (cap != 0 && load[r] >= cap) continue;
-    const bool deg = degraded[r] != 0;
+  for (std::size_t r = 0; r < replicas.size(); ++r) {
+    const Replica& replica = replicas[r];
+    const std::size_t load = replica.sessions.size();
+    if (replica.down || (cap != 0 && load >= cap)) continue;
+    const bool deg = replica.eff_degraded;
     if (best == kNoReplica || (best_degraded && !deg) ||
-        (deg == best_degraded && load[r] < load[best])) {
+        (deg == best_degraded && load < replicas[best].sessions.size())) {
       best = r;
       best_degraded = deg;
     }
@@ -121,28 +142,25 @@ std::size_t route_arrival(const std::vector<std::size_t>& load,
 }
 
 #ifndef NDEBUG
-/// Debug builds: recounts, from the clients alone, everything the event
-/// loop keeps incrementally, and throws std::logic_error on the first
-/// disagreement. O(clients) per call, so it runs only without NDEBUG.
-void check_fleet_invariants(
-    const std::vector<ClientRuntime>& clients,
-    const std::vector<std::size_t>& load,
-    const std::vector<std::unordered_map<std::uint64_t, std::size_t>>&
-        flow_owner,
-    const std::deque<std::size_t>& waiting_room, std::size_t remaining,
-    const WakeupIndex& wakeups) {
+/// Debug builds: recounts, from the clients, everything the event loop
+/// keeps incrementally (replica session sets and flow owners included), and
+/// throws std::logic_error on the first disagreement. O(clients) per call,
+/// so it runs only without NDEBUG.
+void check_fleet_invariants(const std::vector<ClientRuntime>& clients,
+                            const std::vector<Replica>& replicas,
+                            const std::deque<std::size_t>& waiting_room,
+                            std::size_t remaining, const WakeupIndex& wakeups) {
   const auto require = [](bool ok, const char* what) {
     if (!ok) throw std::logic_error(std::string("run_fleet: ") + what);
   };
-  std::vector<char> queued(clients.size(), 0);
+  std::vector<bool> queued(clients.size(), false);
   for (const std::size_t i : waiting_room) {
     require(i < clients.size() && clients[i].state == ClientState::kWaiting &&
                 !queued[i],
             "waiting room holds a client that is not waiting, or twice");
-    queued[i] = 1;
+    queued[i] = true;
   }
-  std::vector<std::size_t> bound(load.size(), 0);
-  std::size_t live = 0, flows = 0, woken = 0;
+  std::size_t live = 0, bound = 0, flows = 0, woken = 0;
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const ClientRuntime& c = clients[i];
     const ClientState s = c.state;
@@ -152,13 +170,18 @@ void check_fleet_invariants(
     }
     if (s == ClientState::kIdle || s == ClientState::kRequested ||
         s == ClientState::kDownloading) {
-      require(c.replica < load.size(), "running session has no replica");
-      ++bound[c.replica];
+      require(c.replica < replicas.size() &&
+                  replicas[c.replica].sessions.count(i) == 1,
+              "running session is not in its replica's session set");
+      ++bound;
+    } else {
+      require(c.replica == kNoReplica, "parked client is bound to a replica");
     }
     if (s == ClientState::kDownloading) {
       ++flows;
-      const auto owner = flow_owner[c.replica].find(c.flow_id);
-      require(owner != flow_owner[c.replica].end() && owner->second == i,
+      const auto& flow_owner = replicas[c.replica].flow_owner;
+      const auto owner = flow_owner.find(c.flow_id);
+      require(owner != flow_owner.end() && owner->second == i,
               "downloading client does not own its flow");
     }
     require(s != ClientState::kWaiting || queued[i],
@@ -169,9 +192,13 @@ void check_fleet_invariants(
               "wakeable client not indexed under its t_next");
     }
   }
-  std::size_t owned = 0;
-  for (const auto& owners : flow_owner) owned += owners.size();
-  require(bound == load, "replica load differs from its running sessions");
+  std::size_t owned = 0, members = 0;
+  for (const Replica& replica : replicas) {
+    owned += replica.flow_owner.size();
+    members += replica.sessions.size();
+  }
+  require(members == bound,
+          "a replica's session set holds a client not bound to it");
   require(owned == flows, "flow_owner holds a flow no client downloads");
   require(remaining == live, "remaining differs from the live clients");
   require(wakeups.size() == woken, "wakeup index holds a parked client");
@@ -289,21 +316,18 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   const FaultSchedule faults(config.faults, n_replicas);
   const bool faults_armed = !faults.empty();
 
-  std::vector<SharedLink> links;
-  links.reserve(n_replicas);
+  std::vector<Replica> replicas;
+  replicas.reserve(n_replicas);
   for (const BandwidthTrace& uplink : config.replica_uplinks) {
-    links.emplace_back(uplink);
+    replicas.emplace_back(uplink);
   }
-  std::vector<std::unordered_map<std::uint64_t, std::size_t>> flow_owner(
-      n_replicas);
   EncodeQueue queue(config.shard_cache_per_replica ? n_replicas : 1,
                     config.cache_budget_bytes);
   // single-threaded: run_fleet — the timeline below is the fleet's one
-  // event loop; everything it mutates (queue, log, waiting room, health
-  // arrays) is unguarded by design. Only the measured-SR fan-out leaves
-  // this thread, and each sample writes its own result slot.
-  // Event timeline: recorded only from this (single-threaded) event loop and
-  // keyed by sim time, so it shares the run's bit-identity guarantee.
+  // event loop; everything it mutates (queue, log, waiting room, replica
+  // records) is unguarded by design. Only the measured-SR fan-out leaves
+  // this thread, and each sample writes its own result slot. The event log
+  // is keyed by sim time, so it shares the run's bit-identity guarantee.
   EventLog log(config.event_log_capacity);
   queue.set_event_log(&log);
   if (faults_armed && config.faults.encode_failure_rate > 0.0) {
@@ -319,23 +343,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     queue.set_fault_policy(std::move(policy));
   }
   std::vector<ClientRuntime> clients(n_clients);
-  std::vector<std::size_t> load(n_replicas, 0);
   std::deque<std::size_t> waiting_room;  // FIFO of kWaiting client indices
   std::vector<SrWorkItem> sr_work;
-
-  // Per-replica health: down (crash window), scheduled degradation, circuit
-  // breaker, and the uplink scale last applied. eff_degraded is the OR the
-  // routing/encode paths consult; *_since timestamps feed the exposure
-  // accounting in ReplicaStats.
-  std::vector<char> down(n_replicas, 0);
-  std::vector<char> sched_degraded(n_replicas, 0);
-  std::vector<char> breaker_open(n_replicas, 0);
-  std::vector<char> eff_degraded(n_replicas, 0);
-  std::vector<double> breaker_until(n_replicas, kInf);
-  std::vector<std::uint32_t> consec_encode_failures(n_replicas, 0);
-  std::vector<double> link_scale(n_replicas, 1.0);
-  std::vector<double> down_since(n_replicas, 0.0);
-  std::vector<double> degraded_since(n_replicas, 0.0);
   std::vector<double> failover_latencies;
 
   // Serve counters live in the result's structs and are published once at
@@ -373,6 +382,18 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     c.state = state;
     c.t_next = t;
   };
+  // bind() and unbind() are the only writers of a client's replica and of
+  // the replicas' session sets, so the two never disagree.
+  const auto bind = [&](std::size_t i, std::size_t r) {
+    clients[i].replica = r;
+    replicas[r].sessions.insert(i);
+  };
+  const auto unbind = [&](std::size_t i) {
+    ClientRuntime& c = clients[i];
+    if (c.replica == kNoReplica) return;
+    replicas[c.replica].sessions.erase(i);
+    c.replica = kNoReplica;
+  };
   // park() moves a client into a flow download or an end state; an end
   // state also frees the client's replica slot and leaves `remaining`.
   const auto park = [&](std::size_t i, ClientState state) {
@@ -381,8 +402,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     c.state = state;
     if (state == ClientState::kDownloading) return;
     --remaining;
-    if (c.replica != kNoReplica) --load[c.replica];
-    c.replica = kNoReplica;
+    unbind(i);
   };
 
   std::size_t expected_chunks = 0;
@@ -397,7 +417,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   // client-index order, the timeline's tie-break. Handling one client never
   // changes another's state, so the list taken as the phase starts is the
   // set the phase handles; a client that comes due again within its own
-  // phase (an RTT-0 re-request) waits for the next event.
+  // phase waits for the next event.
   std::vector<std::size_t> due;
   const auto due_clients = [&](ClientState state) -> const auto& {
     due.clear();
@@ -412,26 +432,17 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   /// Recomputes a replica's effective degradation (schedule OR breaker) and
   /// books the exposure interval on a falling edge.
   const auto refresh_degraded = [&](std::size_t r, double when) {
-    const char want = (sched_degraded[r] || breaker_open[r]) ? 1 : 0;
-    if (want == eff_degraded[r]) return;
+    Replica& replica = replicas[r];
+    const bool want = replica.sched_degraded || replica.breaker_open;
+    if (want == replica.eff_degraded) return;
     if (want) {
-      degraded_since[r] = when;
+      replica.degraded_since = when;
     } else {
-      const double interval = when - degraded_since[r];
+      const double interval = when - replica.degraded_since;
       result.replicas[r].degraded_seconds += interval;
       h_degraded.observe(interval);
     }
-    eff_degraded[r] = want;
-  };
-
-  /// Server-side encode latency for client i's current plan; degraded
-  /// replicas encode slower.
-  const auto encode_latency = [&](const ClientRuntime& c) {
-    double seconds = config.encode_seconds_full * c.plan.density_ratio;
-    if (faults_armed && c.replica != kNoReplica && eff_degraded[c.replica]) {
-      seconds *= config.recovery.degraded_encode_factor;
-    }
-    return seconds;
+    replica.eff_degraded = want;
   };
 
   /// Issues the network/encode request for client i's current plan at `now`.
@@ -441,7 +452,11 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   const auto submit_request = [&](std::size_t i, bool fresh) {
     ClientRuntime& c = clients[i];
     const SessionConfig& session = c.engine->config();
-    const double encode_seconds = encode_latency(c);
+    // Server-side encode latency; degraded replicas encode slower.
+    double encode_seconds = config.encode_seconds_full * c.plan.density_ratio;
+    if (replicas[c.replica].eff_degraded) {
+      encode_seconds *= config.recovery.degraded_encode_factor;
+    }
     const auto ci = std::uint32_t(i);
     const auto cr = std::int32_t(c.replica);
     log.record(now, FleetEventType::kChunkRequest, ci, cr,
@@ -501,8 +516,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   // session resumes where it left off instead of starting over.
   const auto admit_client = [&](std::size_t i, std::size_t r, double when) {
     ClientRuntime& c = clients[i];
-    c.replica = r;
-    ++load[r];
+    bind(i, r);
     result.replica_of[i] = r;
     ++result.replicas[r].sessions_assigned;
     if (c.engine) {
@@ -543,14 +557,26 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   /// max_wait_seconds deadline passes.
   const auto enqueue_waiting = [&](std::size_t i) {
     clients[i].waiting_since = now;
-    wake(i, ClientState::kWaiting,
-         std::isfinite(config.max_wait_seconds)
-             ? now + config.max_wait_seconds
-             : kInf);
+    wake(i, ClientState::kWaiting, now + config.max_wait_seconds);
     waiting_room.push_back(i);
     log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
     result.queue_depth_peak =
         std::max(result.queue_depth_peak, waiting_room.size());
+  };
+
+  /// Admits client i where route_arrival says, else queues it when the
+  /// waiting room is enabled; false when neither (the caller's loss).
+  const auto place = [&](std::size_t i) {
+    const std::size_t r =
+        route_arrival(replicas, config.max_sessions_per_replica);
+    if (r != kNoReplica) {
+      admit_client(i, r, now);
+    } else if (config.max_wait_seconds > 0.0) {
+      enqueue_waiting(i);
+    } else {
+      return false;
+    }
+    return true;
   };
 
   // FIFO admission: as long as a replica has a free slot, the head of the
@@ -559,8 +585,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   // recorded wait_seconds stays the original admission wait.
   const auto drain_waiting_room = [&]() {
     while (!waiting_room.empty()) {
-      const std::size_t r = route_arrival(
-          load, config.max_sessions_per_replica, down, eff_degraded);
+      const std::size_t r =
+          route_arrival(replicas, config.max_sessions_per_replica);
       if (r == kNoReplica) break;
       const std::size_t i = waiting_room.front();
       waiting_room.pop_front();
@@ -573,22 +599,20 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   };
 
   /// Crash-window entry: unbind every session on r, abort its flows, and
-  /// try to re-admit each session elsewhere (waiting room as fallback).
-  /// Client-index order keeps the cascade deterministic.
+  /// try to re-admit each session elsewhere (waiting room as fallback), in
+  /// the session set's client-index order. `down` is set first, so no
+  /// victim is re-admitted to r and the snapshot is exactly r's sessions.
   const auto crash_replica = [&](std::size_t r) {
-    down[r] = 1;
-    down_since[r] = now;
+    Replica& replica = replicas[r];
+    replica.down = true;
+    replica.down_since = now;
     ++result.replicas[r].crashes;
     log.record(now, FleetEventType::kReplicaDown, kNoSession, std::int32_t(r),
                config.faults.crash_restart_seconds);
-    for (std::size_t i = 0; i < n_clients; ++i) {
+    const std::vector<std::size_t> victims(replica.sessions.begin(),
+                                           replica.sessions.end());
+    for (const std::size_t i : victims) {
       ClientRuntime& c = clients[i];
-      if (c.replica != r) continue;
-      if (c.state != ClientState::kIdle &&
-          c.state != ClientState::kRequested &&
-          c.state != ClientState::kDownloading) {
-        continue;
-      }
       log.record(now, FleetEventType::kFailoverStart, std::uint32_t(i),
                  std::int32_t(r));
       c.failover_since = now;
@@ -600,8 +624,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       if (c.state == ClientState::kDownloading) {
         // The partial download is garbage to the client: discard and redo
         // the whole chunk on the new replica.
-        const double discarded = links[r].abort_flow(c.flow_id);
-        flow_owner[r].erase(c.flow_id);
+        const double discarded = replica.link.abort_flow(c.flow_id);
+        replica.flow_owner.erase(c.flow_id);
         ++result.downloads_aborted;
         result.bytes_discarded += discarded;
         log.record(now, FleetEventType::kDownloadAbort, std::uint32_t(i),
@@ -614,17 +638,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         // running (single-flight work is not cancellable).
         queue.abandon(plan_key(c, config.density_buckets));
       }
-      --load[r];
-      c.replica = kNoReplica;
-      const std::size_t r2 = route_arrival(
-          load, config.max_sessions_per_replica, down, eff_degraded);
-      if (r2 != kNoReplica) {
-        admit_client(i, r2, now);
-      } else if (config.max_wait_seconds > 0.0) {
-        enqueue_waiting(i);
-      } else {
-        fail_session(i, now);
-      }
+      unbind(i);
+      if (!place(i)) fail_session(i, now);
     }
   };
 
@@ -633,38 +648,39 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   /// other events are safe. Runs right after time advances.
   const auto apply_fault_transitions = [&]() {
     for (std::size_t r = 0; r < n_replicas; ++r) {
+      Replica& replica = replicas[r];
       const bool want_down = faults.replica_down(r, now);
-      if (want_down && !down[r]) {
+      if (want_down && !replica.down) {
         crash_replica(r);
-      } else if (!want_down && down[r]) {
-        down[r] = 0;
-        result.replicas[r].down_seconds += now - down_since[r];
+      } else if (!want_down && replica.down) {
+        replica.down = false;
+        result.replicas[r].down_seconds += now - replica.down_since;
         log.record(now, FleetEventType::kReplicaUp, kNoSession,
                    std::int32_t(r));
       }
       const double want_scale = faults.uplink_scale(r, now);
-      if (want_scale != link_scale[r]) {
-        links[r].set_rate_scale(want_scale);
+      if (want_scale != replica.link_scale) {
+        replica.link.set_rate_scale(want_scale);
         log.record(now,
                    want_scale < 1.0 ? FleetEventType::kUplinkDegrade
                                     : FleetEventType::kUplinkRestore,
                    kNoSession, std::int32_t(r), want_scale);
-        link_scale[r] = want_scale;
+        replica.link_scale = want_scale;
       }
       const bool want_degraded = faults.replica_degraded(r, now);
-      if (want_degraded != (sched_degraded[r] != 0)) {
-        sched_degraded[r] = want_degraded ? 1 : 0;
+      if (want_degraded != replica.sched_degraded) {
+        replica.sched_degraded = want_degraded;
         log.record(now,
                    want_degraded ? FleetEventType::kReplicaDegraded
                                  : FleetEventType::kReplicaRecovered,
                    kNoSession, std::int32_t(r));
         refresh_degraded(r, now);
       }
-      if (breaker_open[r] && breaker_until[r] <= now) {
+      if (replica.breaker_open && replica.breaker_until <= now) {
         // Half-open reset: the failure streak starts over.
-        breaker_open[r] = 0;
-        breaker_until[r] = kInf;
-        consec_encode_failures[r] = 0;
+        replica.breaker_open = false;
+        replica.breaker_until = kInf;
+        replica.consec_encode_failures = 0;
         log.record(now, FleetEventType::kBreakerReset, kNoSession,
                    std::int32_t(r));
         refresh_degraded(r, now);
@@ -689,18 +705,21 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
             continue;
           }
           const auto r = std::size_t(done.replica);
+          Replica& replica = replicas[r];
           if (done.success) {
-            consec_encode_failures[r] = 0;
+            replica.consec_encode_failures = 0;
             continue;
           }
           if (threshold == 0) continue;
-          if (++consec_encode_failures[r] >= threshold && !breaker_open[r]) {
-            breaker_open[r] = 1;
-            breaker_until[r] =
+          if (++replica.consec_encode_failures >= threshold &&
+              !replica.breaker_open) {
+            replica.breaker_open = true;
+            replica.breaker_until =
                 done.time + config.recovery.breaker_reset_seconds;
             ++result.replicas[r].breaker_trips;
             log.record(done.time, FleetEventType::kBreakerTrip, kNoSession,
-                       std::int32_t(r), double(consec_encode_failures[r]));
+                       std::int32_t(r),
+                       double(replica.consec_encode_failures));
             refresh_degraded(r, done.time);
           }
         }
@@ -721,27 +740,27 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // a fault boundary (window edge / breaker expiry).
     double t_event = wakeups.empty() ? kInf : wakeups.begin()->first;
     t_event = std::min(t_event, queue.next_ready());
-    for (const SharedLink& link : links) {
-      t_event = std::min(t_event, link.next_completion_time(now));
-    }
-    if (faults_armed) {
-      t_event = std::min(t_event, faults.next_transition_after(now));
-      for (std::size_t r = 0; r < n_replicas; ++r) {
-        if (breaker_open[r]) t_event = std::min(t_event, breaker_until[r]);
+    t_event = std::min(t_event, faults.next_transition_after(now));
+    for (const Replica& replica : replicas) {
+      t_event = std::min(t_event, replica.link.next_completion_time(now));
+      if (replica.breaker_open) {
+        t_event = std::min(t_event, replica.breaker_until);
       }
     }
     if (!(t_event < kInf)) break;  // stuck (e.g. an all-zero uplink trace)
 
     // 1. Drain every uplink to the event time; settle completed chunks.
     for (std::size_t r = 0; r < n_replicas; ++r) {
-      for (const SharedLink::Completion& done : links[r].advance(now, t_event)) {
-        const auto owner = flow_owner[r].find(done.id);
-        if (owner == flow_owner[r].end()) {
+      Replica& replica = replicas[r];
+      for (const SharedLink::Completion& done :
+           replica.link.advance(now, t_event)) {
+        const auto owner = replica.flow_owner.find(done.id);
+        if (owner == replica.flow_owner.end()) {
           throw std::logic_error(
               "run_fleet: uplink completed a flow no client owns");
         }
         const std::size_t i = owner->second;
-        flow_owner[r].erase(owner);
+        replica.flow_owner.erase(owner);
         ClientRuntime& c = clients[i];
         log.record(done.time, FleetEventType::kDownloadFinish,
                    std::uint32_t(i), std::int32_t(r), c.flow_bytes);
@@ -814,17 +833,18 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           continue;
         }
       }
+      Replica& replica = replicas[c.replica];
       const BandwidthTrace& downlink = config.clients[i].downlink;
-      const std::uint64_t id = links[c.replica].start_flow(
+      const std::uint64_t id = replica.link.start_flow(
           c.flow_bytes, downlink.empty() ? nullptr : &downlink);
-      flow_owner[c.replica][id] = i;
+      replica.flow_owner[id] = i;
       c.flow_id = id;
       log.record(now, FleetEventType::kDownloadStart, std::uint32_t(i),
                  std::int32_t(c.replica), c.flow_bytes);
       park(i, ClientState::kDownloading);
       ReplicaStats& stats = result.replicas[c.replica];
       stats.peak_concurrent_flows = std::max(stats.peak_concurrent_flows,
-                                             links[c.replica].active_flows());
+                                             replica.link.active_flows());
     }
 
     // 4. Sessions that completed in step 1 freed admission slots: promote
@@ -835,19 +855,10 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // replica is at the cap the arrival queues (or, with the waiting room
     // disabled, is rejected on the spot).
     for (const std::size_t i : due_clients(ClientState::kPending)) {
-      const std::size_t r = route_arrival(
-          load, config.max_sessions_per_replica, down, eff_degraded);
-      if (r == kNoReplica) {
-        if (config.max_wait_seconds > 0.0) {
-          enqueue_waiting(i);
-        } else {
-          park(i, ClientState::kRejected);
-          log.record(now, FleetEventType::kReject, std::uint32_t(i));
-          ++result.rejected;
-        }
-        continue;
-      }
-      admit_client(i, r, now);
+      if (place(i)) continue;
+      park(i, ClientState::kRejected);
+      log.record(now, FleetEventType::kReject, std::uint32_t(i));
+      ++result.rejected;
     }
 
     // 6. A degenerate (zero-chunk) arrival in step 5 may have freed its slot
@@ -880,14 +891,15 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // an in-flight key coalesces onto that encode and waits for it.
     for (const std::size_t i : due_clients(ClientState::kIdle)) {
       ClientRuntime& c = clients[i];
-      c.plan = c.engine->plan_chunk(now, links[c.replica].share_mbps(now));
+      const Replica& replica = replicas[c.replica];
+      c.plan = c.engine->plan_chunk(now, replica.link.share_mbps(now));
       const SessionConfig& session = c.engine->config();
       // Graceful degradation: on a degraded replica, trade one density
       // bucket for not paying the slowed-down encode at full freight.
       // SR-capable ladders only — raw has no ladder to walk and ViVo plans
       // per-viewport.
       if (faults_armed && config.recovery.degrade_density_when_degraded &&
-          eff_degraded[c.replica] &&
+          replica.eff_degraded &&
           (session.kind == SystemKind::kVolutContinuous ||
            session.kind == SystemKind::kVolutDiscrete ||
            session.kind == SystemKind::kYuzuSr)) {
@@ -896,14 +908,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         if (bucket > 1) {
           const double ratio =
               double(bucket - 1) / double(config.density_buckets);
-          c.plan.density_ratio = ratio;
-          c.plan.fetch_fraction = ratio;
-          c.plan.bytes = c.engine->full_chunk_bytes() * ratio;
-          c.plan.quality = quality_score(ratio, session.qoe, true);
-          c.plan.sr_seconds =
-              session.kind == SystemKind::kYuzuSr
-                  ? (ratio < 1.0 ? session.yuzu_sr_seconds_per_chunk : 0.0)
-                  : session.volut_sr_seconds_per_chunk * ratio;
+          c.plan = c.engine->sr_plan(c.plan.index, ratio);
           ++result.degraded_chunks;
           log.record(now, FleetEventType::kDensityDownshift, std::uint32_t(i),
                      std::int32_t(c.replica), ratio);
@@ -912,7 +917,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       submit_request(i, /*fresh=*/true);
     }
 #ifndef NDEBUG
-    check_fleet_invariants(clients, load, flow_owner, waiting_room, remaining,
+    check_fleet_invariants(clients, replicas, waiting_room, remaining,
                            wakeups);
 #endif
   }
@@ -920,20 +925,23 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   result.unfinished_sessions = remaining;
   result.completed = remaining == 0;
 
-  // Close out fault exposure still open when the timeline ended.
-  for (std::size_t r = 0; r < n_replicas; ++r) {
-    if (down[r]) result.replicas[r].down_seconds += now - down_since[r];
-    if (eff_degraded[r]) {
-      result.replicas[r].degraded_seconds += now - degraded_since[r];
-    }
-  }
-
   // ------------------------------------------------------------- rollups
+  for (std::size_t r = 0; r < n_replicas; ++r) {
+    const Replica& replica = replicas[r];
+    ReplicaStats& stats = result.replicas[r];
+    // Close out fault exposure still open when the timeline ended.
+    if (replica.down) stats.down_seconds += now - replica.down_since;
+    if (replica.eff_degraded) {
+      stats.degraded_seconds += now - replica.degraded_since;
+    }
+    stats.flows_started = replica.link.flows_started();
+    stats.flows_completed = replica.link.flows_completed();
+    stats.flows_aborted = replica.link.flows_aborted();
+    stats.bytes_completed = replica.link.bytes_completed();
+    stats.bits_drained = replica.link.bits_drained();
+    stats.uplink_trace_wraps = replica.link.trace().wrap_count(now);
+  }
   std::vector<double> qoes, norms, stalls, waits;
-  qoes.reserve(n_clients);
-  norms.reserve(n_clients);
-  stalls.reserve(n_clients);
-  waits.reserve(n_clients);
   for (std::size_t i = 0; i < n_clients; ++i) {
     if (!clients[i].engine) continue;
     waits.push_back(result.wait_seconds[i]);
@@ -961,15 +969,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     result.cache_shards.push_back(queue.shard(s).stats());
   }
   result.encode_queue = queue.stats();
-  for (std::size_t r = 0; r < n_replicas; ++r) {
-    ReplicaStats& stats = result.replicas[r];
-    stats.flows_started = links[r].flows_started();
-    stats.flows_completed = links[r].flows_completed();
-    stats.flows_aborted = links[r].flows_aborted();
-    stats.bytes_completed = links[r].bytes_completed();
-    stats.bits_drained = links[r].bits_drained();
-    stats.uplink_trace_wraps = links[r].trace().wrap_count(now);
-  }
 
   queue.set_event_log(nullptr);  // log is about to move into the result
   result.timeline_events = log.recorded();

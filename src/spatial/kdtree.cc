@@ -104,8 +104,7 @@ std::vector<Neighbor> KdTree::knn(const Vec3f& query, std::size_t k) const {
 }
 
 void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
-                      std::uint32_t index_offset, std::uint32_t exclude,
-                      KnnTally* tally) const {
+                      std::uint32_t exclude, KnnTally* tally) const {
   if (empty()) return;
   const LeafScanFn scan = active_leaf_scan();
   KnnTally local;
@@ -132,7 +131,7 @@ void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
     }
     scan(soa_x_.data() + node->soa_begin, soa_y_.data() + node->soa_begin,
          soa_z_.data() + node->soa_begin, soa_idx_.data() + node->soa_begin,
-         node->end - node->begin, query, index_offset, exclude, heap);
+         node->end - node->begin, query, exclude, heap);
     ++t.leaf_scans;
     t.points_scanned += node->end - node->begin;
     // Prune with > (not >=): a subtree whose plane distance exactly equals
@@ -156,7 +155,7 @@ Neighbor KdTree::nearest(const Vec3f& query, KnnTally* tally) const {
   Neighbor best{kNoNeighbor, std::numeric_limits<float>::infinity()};
   if (empty()) return best;
   NeighborHeap heap(std::span<Neighbor>(&best, 1));
-  knn_into(query, heap, /*index_offset=*/0, kNoExclude, tally);
+  knn_into(query, heap, kNoExclude, tally);
   return best;
 }
 

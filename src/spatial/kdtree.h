@@ -50,14 +50,13 @@ class KdTree {
   /// Returns fewer than k when the cloud is smaller than k.
   std::vector<Neighbor> knn(const Vec3f& query, std::size_t k) const;
 
-  /// Allocation-free variant: pushes neighbors into the caller's heap, with
-  /// `index_offset` added to every reported index and `exclude` (post-offset)
-  /// skipped. Lets composite indexes (the two-layer octree) share one heap
-  /// across several trees so the worst-distance bound prunes globally.
+  /// Allocation-free variant: pushes neighbors into the caller's heap,
+  /// skipping the reported index `exclude`. Lets composite indexes (the
+  /// two-layer octree) share one heap across several trees so the
+  /// worst-distance bound prunes globally.
   /// Search effort goes to `tally` (a local one, flushed on return, when
   /// null). No-op on an empty tree.
   void knn_into(const Vec3f& query, NeighborHeap& heap,
-                std::uint32_t index_offset = 0,
                 std::uint32_t exclude = kNoExclude,
                 KnnTally* tally = nullptr) const;
 

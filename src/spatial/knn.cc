@@ -138,7 +138,7 @@ void batch_knn_kdtree(const KdTree& tree, std::span<const Vec3f> queries,
           // the search, the sort and the result share one allocation-free
           // buffer.
           NeighborHeap heap(out.slot(i));
-          tree.knn_into(queries[i], heap, /*index_offset=*/0,
+          tree.knn_into(queries[i], heap,
                         exclude_self ? static_cast<std::uint32_t>(i)
                                      : KdTree::kNoExclude,
                         &tally);

@@ -17,15 +17,14 @@ namespace {
 /// search used before the SoA rewrite.
 void leaf_scan_scalar(const float* x, const float* y, const float* z,
                       const std::uint32_t* idx, std::size_t count,
-                      const Vec3f& query, std::uint32_t index_offset,
-                      std::uint32_t exclude, NeighborHeap& heap) {
+                      const Vec3f& query, std::uint32_t exclude,
+                      NeighborHeap& heap) {
   for (std::size_t i = 0; i < count; ++i) {
     const float dx = query.x - x[i];
     const float dy = query.y - y[i];
     const float dz = query.z - z[i];
-    const std::uint32_t reported = idx[i] + index_offset;
-    if (reported == exclude) continue;
-    heap.push(reported, dx * dx + dy * dy + dz * dz);
+    if (idx[i] == exclude) continue;
+    heap.push(idx[i], dx * dx + dy * dy + dz * dz);
   }
 }
 

@@ -42,12 +42,12 @@ inline constexpr std::size_t kSoaLeafPad = 8;
 
 /// One leaf scan: measures `count` candidates laid out in SoA arrays (padded
 /// to kSoaLeafPad; padding lanes hold +inf coordinates and are never
-/// reported) against `query` and pushes `idx[i] + index_offset` into `heap`,
-/// skipping the candidate whose offset index equals `exclude`.
+/// reported) against `query` and pushes `idx[i]` into `heap`, skipping the
+/// candidate whose index equals `exclude`.
 using LeafScanFn = void (*)(const float* x, const float* y, const float* z,
                             const std::uint32_t* idx, std::size_t count,
-                            const Vec3f& query, std::uint32_t index_offset,
-                            std::uint32_t exclude, NeighborHeap& heap);
+                            const Vec3f& query, std::uint32_t exclude,
+                            NeighborHeap& heap);
 
 const char* simd_level_name(SimdLevel level);
 

@@ -18,8 +18,8 @@ namespace {
 
 void leaf_scan_sse2(const float* x, const float* y, const float* z,
                     const std::uint32_t* idx, std::size_t count,
-                    const Vec3f& query, std::uint32_t index_offset,
-                    std::uint32_t exclude, NeighborHeap& heap) {
+                    const Vec3f& query, std::uint32_t exclude,
+                    NeighborHeap& heap) {
   const __m128 qx = _mm_set1_ps(query.x);
   const __m128 qy = _mm_set1_ps(query.y);
   const __m128 qz = _mm_set1_ps(query.z);
@@ -38,7 +38,7 @@ void leaf_scan_sse2(const float* x, const float* y, const float* z,
     const std::size_t limit = std::min<std::size_t>(4, count - base);
     for (std::size_t lane = 0; lane < limit; ++lane) {
       if (((keep >> lane) & 1) == 0) continue;
-      const std::uint32_t reported = idx[base + lane] + index_offset;
+      const std::uint32_t reported = idx[base + lane];
       if (reported == exclude) continue;
       heap.push(reported, d2s[lane]);
     }

@@ -109,7 +109,7 @@ void TwoLayerOctree::knn_into(const Vec3f& query, NeighborHeap& heap,
   const int own = cell_of(query);
   const Cell& own_cell = cells_[static_cast<std::size_t>(own)];
   ++t.octree_cell_queries;
-  own_cell.tree.knn_into(query, heap, /*index_offset=*/0, exclude_global, &t);
+  own_cell.tree.knn_into(query, heap, exclude_global, &t);
   if (heap.full()) {
     const int cx = own / (kCellsPerAxis * kCellsPerAxis);
     const int cy = (own / kCellsPerAxis) % kCellsPerAxis;
@@ -161,7 +161,7 @@ void TwoLayerOctree::knn_into(const Vec3f& query, NeighborHeap& heap,
     }
     const Cell& cell =
         cells_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)].cell)];
-    cell.tree.knn_into(query, heap, /*index_offset=*/0, exclude_global, &t);
+    cell.tree.knn_into(query, heap, exclude_global, &t);
   }
 }
 
@@ -196,8 +196,7 @@ void TwoLayerOctree::batch_knn(std::size_t k, NeighborBuffer& out,
           } else {
             // Own-cell search only; spill to the full search just for the
             // rare under-populated cells.
-            cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g,
-                               &tally);
+            cell.tree.knn_into(flat_points_[fi], heap, g, &tally);
             if (!heap.full()) {
               heap.clear();
               knn_into(flat_points_[fi], heap, g, &tally);

@@ -199,21 +199,18 @@ void interpolate_into(const PointCloud& input, double ratio,
                    input.positions(), k, result.new_neighbors.slot(j)));
       } else {
         NeighborHeap heap(result.new_neighbors.slot(j));
-        s.kdtree.knn_into(np, heap, /*index_offset=*/0, KdTree::kNoExclude,
-                          &tally);
+        s.kdtree.knn_into(np, heap, KdTree::kNoExclude, &tally);
         result.new_neighbors.set_count(j, heap.sort_ascending());
       }
-      if (config.colorize) {
-        // Nearest original point's color (§4.1), reusing the merged neighbor
-        // list just computed — no extra spatial queries, and the list is
-        // still cache-hot. Each iteration writes only its own color slot, so
-        // the fold into the parallel loop keeps output bit-identical.
-        const std::span<const Neighbor> nbrs = result.new_neighbors[j];
-        const std::uint32_t nearest =
-            nbrs.empty() ? result.parents[j][0]
-                         : static_cast<std::uint32_t>(nbrs.front().index);
-        result.cloud.color(new_begin + j) = input.color(nearest);
-      }
+      // Nearest original point's color (§4.1), reusing the merged neighbor
+      // list just computed — no extra spatial queries, and the list is still
+      // cache-hot. Each iteration writes only its own color slot, so the
+      // fold into the parallel loop keeps output bit-identical.
+      const std::span<const Neighbor> nbrs = result.new_neighbors[j];
+      const std::uint32_t nearest =
+          nbrs.empty() ? result.parents[j][0]
+                       : static_cast<std::uint32_t>(nbrs.front().index);
+      result.cloud.color(new_begin + j) = input.color(nearest);
     }
   };
   run_chunked(pool, produced, /*chunk=*/512, process_range);

@@ -44,10 +44,6 @@ struct InterpolationConfig {
   bool use_octree = true;
   /// Reuse parent neighbor lists (Eq. 2) instead of fresh kNN per new point.
   bool reuse_neighbors = true;
-  /// Colorize new points from the nearest original point (§4.1). When false,
-  /// new points inherit the first parent's color (fast path for geometry-only
-  /// workloads).
-  bool colorize = true;
   std::uint64_t seed = 42;
 };
 

@@ -69,93 +69,70 @@ SessionEngine::SessionEngine(const SessionConfig& config,
 
 SessionEngine::~SessionEngine() = default;
 
+ChunkPlan SessionEngine::sr_plan(std::size_t index,
+                                 double density_ratio) const {
+  ChunkPlan plan;
+  plan.index = index;
+  plan.density_ratio = density_ratio;
+  plan.fetch_fraction = density_ratio;
+  plan.bytes = full_bytes_ * density_ratio;
+  plan.quality = quality_score(density_ratio, config_.qoe, true);
+  // LUT SR cost scales with input points; YuZu's neural SR cost scales with
+  // output points => flat at full density.
+  plan.sr_seconds =
+      config_.kind == SystemKind::kYuzuSr
+          ? (density_ratio < 1.0 ? config_.yuzu_sr_seconds_per_chunk : 0.0)
+          : config_.volut_sr_seconds_per_chunk * density_ratio;
+  return plan;
+}
+
 ChunkPlan SessionEngine::plan_chunk(double now,
                                     double observed_bandwidth_mbps) {
   ChunkPlan plan;
   plan.index = next_index_;
-  switch (config_.kind) {
-    case SystemKind::kVolutContinuous:
-    case SystemKind::kVolutDiscrete: {
-      AbrContext ctx;
-      ctx.throughput_mbps =
-          estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
-      ctx.buffer_seconds = buffer_;
-      ctx.prev_density_ratio = prev_ratio_;
-      ctx.chunk_seconds = config_.chunk_seconds;
-      ctx.full_chunk_bytes = full_bytes_;
-      ctx.sr_seconds_per_chunk_full = config_.volut_sr_seconds_per_chunk;
-      ctx.horizon = config_.mpc_horizon;
-      ctx.max_buffer_seconds = config_.max_buffer_seconds;
-      const AbrDecision d = abr_->decide(ctx);
-      plan.density_ratio = d.density_ratio;
-      plan.fetch_fraction = d.density_ratio;
-      plan.quality = quality_score(d.density_ratio, config_.qoe, true);
-      plan.sr_seconds = config_.volut_sr_seconds_per_chunk * d.density_ratio;
-      break;
-    }
-    case SystemKind::kYuzuSr: {
-      AbrContext ctx;
-      ctx.throughput_mbps =
-          estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
-      ctx.buffer_seconds = buffer_;
-      ctx.prev_density_ratio = prev_ratio_;
-      ctx.chunk_seconds = config_.chunk_seconds;
-      ctx.full_chunk_bytes = full_bytes_;
-      // YuZu's ABR does not model its SR latency (the stalls the paper
-      // attributes to slow SR under H3).
-      ctx.sr_seconds_per_chunk_full = 0.0;
-      ctx.horizon = config_.mpc_horizon;
-      ctx.max_buffer_seconds = config_.max_buffer_seconds;
-      const AbrDecision d = abr_->decide(ctx);
-      plan.density_ratio = d.density_ratio;
-      plan.fetch_fraction = d.density_ratio;
-      plan.quality = quality_score(d.density_ratio, config_.qoe, true);
-      // Neural SR cost scales with output points => flat at full density.
-      plan.sr_seconds = d.density_ratio < 1.0
-                            ? config_.yuzu_sr_seconds_per_chunk
-                            : 0.0;
-      break;
-    }
-    case SystemKind::kVivo: {
-      // Viewer motion runs on session-relative time: a client admitted at
-      // fleet time T samples its trace from 0, not from T.
-      const double t_decision = now - session_start_;
-      const double t_playback = double(next_index_) * config_.chunk_seconds +
-                                config_.chunk_seconds * 0.5;
-      Pose decision_pose, playback_pose;
-      if (motion_ != nullptr && !motion_->empty()) {
-        decision_pose =
-            motion_->pose(std::size_t(t_decision * motion_->fps()));
-        playback_pose =
-            motion_->pose(std::size_t(t_playback * motion_->fps()));
-      }
-      const VivoChunkPlan vivo = vivo_plan_chunk(
-          vivo_reference_, decision_pose, playback_pose, config_.vivo);
-      // Density adaptation on top of visibility-aware fetching. Both
-      // viewport culling (fewer bytes) and misprediction (lost coverage)
-      // come from the plan.
-      AbrContext ctx;
-      ctx.throughput_mbps =
-          estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
-      ctx.buffer_seconds = buffer_;
-      ctx.prev_density_ratio = prev_ratio_;
-      ctx.chunk_seconds = config_.chunk_seconds;
-      ctx.full_chunk_bytes = full_bytes_ * vivo.fetch_fraction;
-      ctx.horizon = config_.mpc_horizon;
-      ctx.max_buffer_seconds = config_.max_buffer_seconds;
-      const AbrDecision d = abr_->decide(ctx);
-      plan.density_ratio = d.density_ratio;
-      plan.fetch_fraction = d.density_ratio * vivo.fetch_fraction;
-      plan.quality = quality_score(d.density_ratio, config_.qoe, false) *
-                     vivo.coverage;
-      break;
-    }
-    case SystemKind::kRaw:
-      plan.density_ratio = 1.0;
-      plan.fetch_fraction = 1.0;
-      plan.quality = 100.0;
-      break;
+  if (config_.kind == SystemKind::kRaw) {  // fixed full-density policy
+    plan.quality = 100.0;
+    plan.bytes = full_bytes_;
+    return plan;
   }
+  AbrContext ctx;
+  ctx.throughput_mbps =
+      estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
+  ctx.buffer_seconds = buffer_;
+  ctx.prev_density_ratio = prev_ratio_;
+  ctx.chunk_seconds = config_.chunk_seconds;
+  ctx.full_chunk_bytes = full_bytes_;
+  ctx.horizon = config_.mpc_horizon;
+  ctx.max_buffer_seconds = config_.max_buffer_seconds;
+  if (config_.kind != SystemKind::kVivo) {
+    // YuZu's ABR does not model its SR latency (the stalls the paper
+    // attributes to slow SR under H3).
+    if (config_.kind != SystemKind::kYuzuSr) {
+      ctx.sr_seconds_per_chunk_full = config_.volut_sr_seconds_per_chunk;
+    }
+    return sr_plan(next_index_, abr_->decide(ctx).density_ratio);
+  }
+  // ViVo. Viewer motion runs on session-relative time: a client admitted at
+  // fleet time T samples its trace from 0, not from T.
+  const double t_decision = now - session_start_;
+  const double t_playback = double(next_index_) * config_.chunk_seconds +
+                            config_.chunk_seconds * 0.5;
+  Pose decision_pose, playback_pose;
+  if (motion_ != nullptr && !motion_->empty()) {
+    decision_pose = motion_->pose(std::size_t(t_decision * motion_->fps()));
+    playback_pose = motion_->pose(std::size_t(t_playback * motion_->fps()));
+  }
+  const VivoChunkPlan vivo = vivo_plan_chunk(vivo_reference_, decision_pose,
+                                             playback_pose, config_.vivo);
+  // Density adaptation on top of visibility-aware fetching. Both viewport
+  // culling (fewer bytes) and misprediction (lost coverage) come from the
+  // plan.
+  ctx.full_chunk_bytes = full_bytes_ * vivo.fetch_fraction;
+  const AbrDecision d = abr_->decide(ctx);
+  plan.density_ratio = d.density_ratio;
+  plan.fetch_fraction = d.density_ratio * vivo.fetch_fraction;
+  plan.quality =
+      quality_score(d.density_ratio, config_.qoe, false) * vivo.coverage;
   plan.bytes = full_bytes_ * plan.fetch_fraction;
   return plan;
 }

@@ -135,7 +135,6 @@ class SessionEngine {
 
   const SessionConfig& config() const { return config_; }
   bool done() const { return next_index_ >= n_chunks_; }
-  std::size_t next_index() const { return next_index_; }
   std::size_t total_chunks() const { return n_chunks_; }
   double full_chunk_bytes() const { return full_bytes_; }
   /// True if the system fetches assets before the first chunk (YuZu SR
@@ -151,6 +150,12 @@ class SessionEngine {
   /// currently observable bandwidth (Mbps, pre-headroom). Call once per
   /// chunk, paired with complete_chunk.
   ChunkPlan plan_chunk(double now, double observed_bandwidth_mbps);
+
+  /// The VoLUT / YuZu plan for chunk `index` fetched at `density_ratio`:
+  /// bytes, quality and client SR cost follow from the ratio alone.
+  /// plan_chunk uses it for the ABR's pick; the fleet re-plans a density
+  /// downshift through it.
+  ChunkPlan sr_plan(std::size_t index, double density_ratio) const;
 
   /// Applies download / SR-pipeline / buffer / QoE dynamics for a planned
   /// chunk issued at `issued_at` and fully received at `completed_at`.
