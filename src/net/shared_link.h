@@ -43,11 +43,19 @@ class SharedLink {
   /// must have advance()d up to that moment first. Throws
   /// std::invalid_argument on NaN or negative scales.
   void set_rate_scale(double scale);
+  double rate_scale() const { return rate_scale_; }
 
   /// Flows killed via abort_flow and the bytes they had already received
   /// (those bytes stay in bits_drained() but never reach bytes_completed()).
   std::uint64_t flows_aborted() const { return flows_aborted_; }
   double bytes_aborted() const { return bytes_aborted_; }
+  /// Bits already delivered to the active flows. bits_drained() equals
+  /// 8 * (bytes_completed() + bytes_aborted()) plus this, up to rounding.
+  double active_bits_delivered() const {
+    double bits = 0.0;
+    for (const Flow& f : flows_) bits += f.total_bytes * 8.0 - f.remaining_bits;
+    return bits;
+  }
 
   /// Bandwidth (Mbps) a new flow admitted at `now` would start with — the
   /// equal share after joining. This is what the ABR gets to observe.

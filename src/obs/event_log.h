@@ -94,15 +94,12 @@ struct FleetEvent {
 /// disables retention entirely (record() still counts).
 class EventLog {
  public:
-  explicit EventLog(std::size_t capacity = 0) : capacity_(capacity) {
-    counts_.fill(0);
-  }
+  explicit EventLog(std::size_t capacity = 0) : capacity_(capacity) {}
 
   void record(double time, FleetEventType type,
               std::uint32_t session = kNoSession, std::int32_t replica = -1,
               double value = 0.0);
 
-  std::size_t capacity() const { return capacity_; }
   /// Total events ever recorded (including dropped ones).
   std::uint64_t recorded() const { return recorded_; }
   /// Events lost to ring wrap-around.

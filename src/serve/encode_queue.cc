@@ -12,6 +12,7 @@ namespace volut {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kVnodesPerShard = 64;
 
 /// Full SplitMix64 step (golden-ratio offset + core mix64 finalizer):
 /// decorrelates sequential ids and near-identical hashes alike.
@@ -21,12 +22,11 @@ std::uint64_t ring_mix(std::uint64_t x) {
 
 }  // namespace
 
-HashRing::HashRing(std::size_t shards, std::size_t vnodes_per_shard)
+HashRing::HashRing(std::size_t shards)
     : shards_(std::max<std::size_t>(1, shards)) {
-  vnodes_per_shard = std::max<std::size_t>(1, vnodes_per_shard);
-  ring_.reserve(shards_ * vnodes_per_shard);
+  ring_.reserve(shards_ * kVnodesPerShard);
   for (std::size_t s = 0; s < shards_; ++s) {
-    for (std::size_t v = 0; v < vnodes_per_shard; ++v) {
+    for (std::size_t v = 0; v < kVnodesPerShard; ++v) {
       const std::uint64_t pos = ring_mix((std::uint64_t(s) << 20) | v);
       ring_.emplace_back(pos, std::uint32_t(s));
     }

@@ -51,12 +51,12 @@ namespace volut {
 class EventLog;
 
 /// Consistent-hash ring: `shards` shards, each projected onto the ring at
-/// `vnodes_per_shard` pseudo-random points; a key hashes to the first vnode
+/// 64 pseudo-random points (vnodes); a key hashes to the first vnode
 /// clockwise from it. Growing from N to N+1 shards only moves keys that land
 /// on the new shard's vnodes (~1/(N+1) of the space).
 class HashRing {
  public:
-  explicit HashRing(std::size_t shards, std::size_t vnodes_per_shard = 64);
+  explicit HashRing(std::size_t shards);
 
   std::size_t shard_count() const { return shards_; }
   std::size_t shard_of(std::uint64_t key_hash) const;

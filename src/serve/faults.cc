@@ -137,33 +137,28 @@ FaultSchedule::FaultSchedule(const FaultScheduleConfig& config,
                config.brownout_scale);
   }
 
+  // Random windows: one CounterRng stream per (replica, fault class).
+  const struct {
+    std::uint64_t stream;
+    double rate_per_minute, seconds, scale;
+    std::vector<Window> ReplicaWindows::* list;
+  } drawn[] = {
+      {kCrashStream, config.crash_rate_per_minute,
+       config.crash_restart_seconds, 0.0, &ReplicaWindows::crashes},
+      {kBlackoutStream, config.blackout_rate_per_minute,
+       config.blackout_seconds, 0.0, &ReplicaWindows::uplink},
+      {kBrownoutStream, config.brownout_rate_per_minute,
+       config.brownout_seconds, config.brownout_scale, &ReplicaWindows::uplink},
+      {kDegradeStream, config.degrade_rate_per_minute, config.degrade_seconds,
+       0.0, &ReplicaWindows::degradations},
+  };
   for (std::size_t r = 0; r < n_replicas; ++r) {
-    const std::uint64_t base = std::uint64_t(r) * kStreamsPerReplica;
-    for (const auto& [start, seconds] :
-         draw_windows(config.seed, base + kCrashStream,
-                      config.crash_rate_per_minute,
-                      config.crash_restart_seconds,
-                      config.horizon_seconds)) {
-      add_window(&ReplicaWindows::crashes, r, start, seconds, 0.0);
-    }
-    for (const auto& [start, seconds] :
-         draw_windows(config.seed, base + kBlackoutStream,
-                      config.blackout_rate_per_minute,
-                      config.blackout_seconds, config.horizon_seconds)) {
-      add_window(&ReplicaWindows::uplink, r, start, seconds, 0.0);
-    }
-    for (const auto& [start, seconds] :
-         draw_windows(config.seed, base + kBrownoutStream,
-                      config.brownout_rate_per_minute,
-                      config.brownout_seconds, config.horizon_seconds)) {
-      add_window(&ReplicaWindows::uplink, r, start, seconds,
-                 config.brownout_scale);
-    }
-    for (const auto& [start, seconds] :
-         draw_windows(config.seed, base + kDegradeStream,
-                      config.degrade_rate_per_minute, config.degrade_seconds,
-                      config.horizon_seconds)) {
-      add_window(&ReplicaWindows::degradations, r, start, seconds, 0.0);
+    for (const auto& d : drawn) {
+      for (const auto& [start, seconds] : draw_windows(
+               config.seed, std::uint64_t(r) * kStreamsPerReplica + d.stream,
+               d.rate_per_minute, d.seconds, config.horizon_seconds)) {
+        add_window(d.list, r, start, seconds, d.scale);
+      }
     }
   }
 

@@ -76,7 +76,7 @@ struct ClientRuntime {
 };
 
 /// One replica's serving state: its uplink, the flows on it, the sessions
-/// bound to it and its fault health.
+/// bound to it, its fault health and its ReplicaStats.
 struct Replica {
   explicit Replica(const BandwidthTrace& uplink) : link(uplink) {}
   SharedLink link;
@@ -85,18 +85,19 @@ struct Replica {
   /// Clients bound to this replica, in client-index order: the only record
   /// of which sessions it serves, so its size is the replica's load.
   std::set<std::size_t> sessions;
-  // Health: crash window, scheduled degradation, circuit breaker and the
-  // uplink scale last applied. eff_degraded (schedule OR breaker) is what
-  // routing and encoding consult; the *_since times feed ReplicaStats.
+  // Health: crash window, scheduled degradation and circuit breaker.
+  // eff_degraded (schedule OR breaker) is what routing and encoding consult;
+  // the *_since times feed `stats`.
   bool down = false;
   bool sched_degraded = false;
   bool breaker_open = false;
   bool eff_degraded = false;
   double breaker_until = kInf;
   std::uint32_t consec_encode_failures = 0;
-  double link_scale = 1.0;
   double down_since = 0.0;
   double degraded_since = 0.0;
+  /// The loop's per-replica counters; the rollup adds the link totals.
+  ReplicaStats stats;
 };
 
 struct SrWorkItem {
@@ -143,9 +144,9 @@ std::size_t route_arrival(const std::vector<Replica>& replicas,
 
 #ifndef NDEBUG
 /// Debug builds: recounts, from the clients, everything the event loop
-/// keeps incrementally (replica session sets and flow owners included), and
-/// throws std::logic_error on the first disagreement. O(clients) per call,
-/// so it runs only without NDEBUG.
+/// keeps incrementally (session sets and flow owners included), checks that
+/// each uplink conserves bits, and throws std::logic_error on the first
+/// disagreement. O(clients) per call, so it runs only without NDEBUG.
 void check_fleet_invariants(const std::vector<ClientRuntime>& clients,
                             const std::vector<Replica>& replicas,
                             const std::deque<std::size_t>& waiting_room,
@@ -196,6 +197,14 @@ void check_fleet_invariants(const std::vector<ClientRuntime>& clients,
   for (const Replica& replica : replicas) {
     owned += replica.flow_owner.size();
     members += replica.sessions.size();
+    // Each drained bit went to a flow that completed, aborted or is active.
+    const SharedLink& link = replica.link;
+    const double drained = link.bits_drained();
+    const double received =
+        8.0 * (link.bytes_completed() + link.bytes_aborted()) +
+        link.active_bits_delivered();
+    require(std::abs(drained - received) <= 1e-9 * std::max(1.0, drained),
+            "an uplink drained bits no flow received");
   }
   require(members == bound,
           "a replica's session set holds a client not bound to it");
@@ -242,10 +251,9 @@ void measure_sr_samples(const std::vector<SrWorkItem>& work,
 }
 
 /// Adds one run's serve totals, and its replica uplinks' net/* flow totals,
-/// to the process-wide registry. The result's structs are the only store of
-/// these counts; the registry accumulates across runs, so each run adds its
-/// totals once, at its end, and never overwrites what earlier runs
-/// published.
+/// to the process-wide registry, reading them from the finished result. The
+/// registry accumulates across runs, so each run adds its totals once, at
+/// its end, and never overwrites what earlier runs published.
 void publish_serve_metrics(const FleetResult& result,
                            const std::vector<double>& failover_latencies) {
   MetricsRegistry& reg = MetricsRegistry::global();
@@ -264,11 +272,9 @@ void publish_serve_metrics(const FleetResult& result,
     }
   }
   const EncodeQueueStats& encode = result.encode_queue;
-  std::uint64_t breaker_trips = 0;
   std::uint64_t flows_started = 0, flows_completed = 0, flows_aborted = 0;
   double bytes_completed = 0.0;
   for (const ReplicaStats& replica : result.replicas) {
-    breaker_trips += replica.breaker_trips;
     flows_started += replica.flows_started;
     flows_completed += replica.flows_completed;
     flows_aborted += replica.flows_aborted;
@@ -286,7 +292,8 @@ void publish_serve_metrics(const FleetResult& result,
       {"serve/fleet/session_failures", result.failed_sessions},
       {"serve/fleet/downloads_aborted", result.downloads_aborted},
       {"serve/fleet/density_downshifts", result.degraded_chunks},
-      {"serve/fleet/breaker_trips", breaker_trips},
+      {"serve/fleet/breaker_trips",
+       result.events.type_count(FleetEventType::kBreakerTrip)},
       {"net/flows_started", flows_started},
       {"net/flows_completed", flows_completed},
       {"net/flows_aborted", flows_aborted},
@@ -347,8 +354,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   std::vector<SrWorkItem> sr_work;
   std::vector<double> failover_latencies;
 
-  // Serve counters live in the result's structs and are published once at
-  // the end of the run; these two histograms are the only record of their
+  // Serve counters are published once at the end of the run, from the
+  // finished result; these two histograms are the only record of their
   // samples, so they are observed as the samples occur.
   MetricsRegistry& reg = MetricsRegistry::global();
   static constexpr double kDegradedBounds[] = {0.5, 1.0,  2.5,  5.0,
@@ -364,7 +371,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   result.sessions.resize(n_clients);
   result.replica_of.assign(n_clients, kNoReplica);
   result.wait_seconds.assign(n_clients, 0.0);
-  result.replicas.resize(n_replicas);
 
   std::size_t remaining = n_clients;  // not yet done, rejected or failed
 
@@ -439,7 +445,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       replica.degraded_since = when;
     } else {
       const double interval = when - replica.degraded_since;
-      result.replicas[r].degraded_seconds += interval;
+      replica.stats.degraded_seconds += interval;
       h_degraded.observe(interval);
     }
     replica.eff_degraded = want;
@@ -507,7 +513,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     log.record(when, FleetEventType::kSessionFail, std::uint32_t(i),
                r == kNoReplica ? -1 : std::int32_t(r));
     park(i, ClientState::kFailed);
-    ++result.failed_sessions;
   };
 
   // Admission bookkeeping shared by immediate arrivals and waiting-room
@@ -518,15 +523,13 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     ClientRuntime& c = clients[i];
     bind(i, r);
     result.replica_of[i] = r;
-    ++result.replicas[r].sessions_assigned;
+    ++replicas[r].stats.sessions_assigned;
     if (c.engine) {
       const double latency = when - c.failover_since;
-      ++result.failovers;
       failover_latencies.push_back(latency);
       log.record(when, FleetEventType::kFailoverComplete, std::uint32_t(i),
                  std::int32_t(r), latency);
     } else {
-      ++result.admitted;
       log.record(when, FleetEventType::kAdmit, std::uint32_t(i),
                  std::int32_t(r));
       c.engine = std::make_unique<SessionEngine>(config.clients[i].session,
@@ -606,7 +609,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     Replica& replica = replicas[r];
     replica.down = true;
     replica.down_since = now;
-    ++result.replicas[r].crashes;
+    ++replica.stats.crashes;
     log.record(now, FleetEventType::kReplicaDown, kNoSession, std::int32_t(r),
                config.faults.crash_restart_seconds);
     const std::vector<std::size_t> victims(replica.sessions.begin(),
@@ -626,7 +629,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         // the whole chunk on the new replica.
         const double discarded = replica.link.abort_flow(c.flow_id);
         replica.flow_owner.erase(c.flow_id);
-        ++result.downloads_aborted;
         result.bytes_discarded += discarded;
         log.record(now, FleetEventType::kDownloadAbort, std::uint32_t(i),
                    std::int32_t(r), discarded);
@@ -654,18 +656,17 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         crash_replica(r);
       } else if (!want_down && replica.down) {
         replica.down = false;
-        result.replicas[r].down_seconds += now - replica.down_since;
+        replica.stats.down_seconds += now - replica.down_since;
         log.record(now, FleetEventType::kReplicaUp, kNoSession,
                    std::int32_t(r));
       }
       const double want_scale = faults.uplink_scale(r, now);
-      if (want_scale != replica.link_scale) {
+      if (want_scale != replica.link.rate_scale()) {
         replica.link.set_rate_scale(want_scale);
         log.record(now,
                    want_scale < 1.0 ? FleetEventType::kUplinkDegrade
                                     : FleetEventType::kUplinkRestore,
                    kNoSession, std::int32_t(r), want_scale);
-        replica.link_scale = want_scale;
       }
       const bool want_degraded = faults.replica_degraded(r, now);
       if (want_degraded != replica.sched_degraded) {
@@ -700,11 +701,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           if (!done.success && !done.terminal) {
             h_backoff.observe(done.backoff_seconds);
           }
-          if (done.replica < 0 ||
-              std::size_t(done.replica) >= n_replicas) {
-            continue;
-          }
-          const auto r = std::size_t(done.replica);
+          const auto r = std::size_t(done.replica);  // -1 wraps: no replica
+          if (r >= n_replicas) continue;
           Replica& replica = replicas[r];
           if (done.success) {
             replica.consec_encode_failures = 0;
@@ -716,7 +714,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
             replica.breaker_open = true;
             replica.breaker_until =
                 done.time + config.recovery.breaker_reset_seconds;
-            ++result.replicas[r].breaker_trips;
+            ++replica.stats.breaker_trips;
             log.record(done.time, FleetEventType::kBreakerTrip, kNoSession,
                        std::int32_t(r),
                        double(replica.consec_encode_failures));
@@ -842,9 +840,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       log.record(now, FleetEventType::kDownloadStart, std::uint32_t(i),
                  std::int32_t(c.replica), c.flow_bytes);
       park(i, ClientState::kDownloading);
-      ReplicaStats& stats = result.replicas[c.replica];
-      stats.peak_concurrent_flows = std::max(stats.peak_concurrent_flows,
-                                             replica.link.active_flows());
+      replica.stats.peak_concurrent_flows = std::max(
+          replica.stats.peak_concurrent_flows, replica.link.active_flows());
     }
 
     // 4. Sessions that completed in step 1 freed admission slots: promote
@@ -858,7 +855,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       if (place(i)) continue;
       park(i, ClientState::kRejected);
       log.record(now, FleetEventType::kReject, std::uint32_t(i));
-      ++result.rejected;
     }
 
     // 6. A degenerate (zero-chunk) arrival in step 5 may have freed its slot
@@ -880,7 +876,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       }
       park(i, ClientState::kRejected);
       result.wait_seconds[i] = waited;
-      ++result.rejected;
       ++result.timed_out;
     }
 
@@ -909,7 +904,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           const double ratio =
               double(bucket - 1) / double(config.density_buckets);
           c.plan = c.engine->sr_plan(c.plan.index, ratio);
-          ++result.degraded_chunks;
           log.record(now, FleetEventType::kDensityDownshift, std::uint32_t(i),
                      std::int32_t(c.replica), ratio);
         }
@@ -926,9 +920,10 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   result.completed = remaining == 0;
 
   // ------------------------------------------------------------- rollups
-  for (std::size_t r = 0; r < n_replicas; ++r) {
-    const Replica& replica = replicas[r];
-    ReplicaStats& stats = result.replicas[r];
+  // FleetResult is built here, once, from the stores that own each fact:
+  // the replica records and their links, the encode queue and the log.
+  for (const Replica& replica : replicas) {
+    ReplicaStats& stats = result.replicas.emplace_back(replica.stats);
     // Close out fault exposure still open when the timeline ended.
     if (replica.down) stats.down_seconds += now - replica.down_since;
     if (replica.eff_degraded) {
@@ -969,9 +964,18 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     result.cache_shards.push_back(queue.shard(s).stats());
   }
   result.encode_queue = queue.stats();
+  using T = FleetEventType;
+  result.admitted = log.type_count(T::kAdmit);
+  // A failed-over session that times out also records kWaitTimeout, so the
+  // loop counts timed-out arrivals itself.
+  result.rejected = log.type_count(T::kReject) + result.timed_out;
+  result.failovers = log.type_count(T::kFailoverComplete);
+  result.failed_sessions = log.type_count(T::kSessionFail);
+  result.downloads_aborted = log.type_count(T::kDownloadAbort);
+  result.degraded_chunks = log.type_count(T::kDensityDownshift);
+  result.timeline_events = log.recorded();
 
   queue.set_event_log(nullptr);  // log is about to move into the result
-  result.timeline_events = log.recorded();
   result.events = std::move(log);
 
   publish_serve_metrics(result, failover_latencies);

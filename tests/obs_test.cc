@@ -323,26 +323,82 @@ TEST(EventLogTest, FleetTimelineBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(EventLogTest, FleetTimelineMatchesRollups) {
-  const FleetConfig fleet = small_fleet();
-  const FleetResult result = run_fleet(fleet);
-  const EventLog& events = result.events;
-  EXPECT_EQ(events.type_count(FleetEventType::kAdmit), result.admitted);
-  EXPECT_EQ(events.type_count(FleetEventType::kReject) +
-                events.type_count(FleetEventType::kWaitTimeout),
-            result.rejected);
-  EXPECT_EQ(events.type_count(FleetEventType::kCacheHit), result.cache.hits);
-  EXPECT_EQ(events.type_count(FleetEventType::kCacheMiss),
-            result.cache.misses);
-  EXPECT_EQ(events.type_count(FleetEventType::kEncodeComplete),
-            result.encode_queue.completions);
-  EXPECT_EQ(events.type_count(FleetEventType::kSessionDone),
-            result.admitted);
-  // Every download that started also finished (the run completed).
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(events.type_count(FleetEventType::kDownloadStart),
-            events.type_count(FleetEventType::kDownloadFinish));
+/// small_fleet() with every fault the rollups count: a crash, a blackout,
+/// encode failures with retries, a breaker trip and a density downshift.
+FleetConfig faulty_fleet() {
+  FleetConfig fleet = small_fleet();
+  fleet.faults.crashes = {{/*replica=*/0, /*start=*/1.0, /*seconds=*/0.5}};
+  fleet.faults.blackouts = {{/*replica=*/1, /*start=*/1.2, /*seconds=*/0.5}};
+  fleet.faults.degradations = {{/*replica=*/1, /*start=*/0.8, /*seconds=*/3.0}};
+  fleet.faults.encode_failure_rate = 0.3;
+  fleet.faults.seed = 7;
+  fleet.recovery.encode_max_attempts = 12;
+  fleet.recovery.encode_backoff_base_seconds = 0.05;
+  fleet.recovery.encode_backoff_cap_seconds = 0.5;
+  fleet.recovery.breaker_failure_threshold = 2;
+  fleet.recovery.breaker_reset_seconds = 1.0;
+  fleet.recovery.degrade_density_when_degraded = true;
+  return fleet;
 }
+
+class FleetTimelineTest : public ::testing::TestWithParam<bool> {};
+
+// Every FleetResult count that one event type also counts agrees with the
+// log, with and without faults.
+TEST_P(FleetTimelineTest, MatchesRollups) {
+  const bool faults_armed = GetParam();
+  const FleetResult result =
+      run_fleet(faults_armed ? faulty_fleet() : small_fleet());
+  const EventLog& events = result.events;
+  const auto count = [&events](FleetEventType type) {
+    return events.type_count(type);
+  };
+  using T = FleetEventType;
+  EXPECT_EQ(count(T::kAdmit), result.admitted);
+  EXPECT_EQ(count(T::kReject) + result.timed_out, result.rejected);
+  EXPECT_EQ(count(T::kFailoverComplete), result.failovers);
+  EXPECT_EQ(count(T::kSessionFail), result.failed_sessions);
+  EXPECT_EQ(count(T::kDownloadAbort), result.downloads_aborted);
+  EXPECT_EQ(count(T::kDensityDownshift), result.degraded_chunks);
+  EXPECT_EQ(events.recorded(), result.timeline_events);
+  EXPECT_EQ(count(T::kCacheHit), result.cache.hits);
+  EXPECT_EQ(count(T::kCacheMiss), result.cache.misses);
+  const EncodeQueueStats& encode = result.encode_queue;
+  EXPECT_EQ(count(T::kEncodeComplete), encode.completions);
+  EXPECT_EQ(count(T::kEncodeFail), encode.failures);
+  EXPECT_EQ(count(T::kEncodeRetry), encode.retries);
+  EXPECT_EQ(count(T::kEncodeGiveUp), encode.exhausted);
+  EXPECT_EQ(count(T::kEncodeAbandon), encode.abandoned);
+  EXPECT_EQ(count(T::kEncodeCoalesce), encode.coalesced_joins);
+  std::size_t crashes = 0, breaker_trips = 0;
+  for (const ReplicaStats& replica : result.replicas) {
+    crashes += replica.crashes;
+    breaker_trips += replica.breaker_trips;
+  }
+  EXPECT_EQ(count(T::kReplicaDown), crashes);
+  EXPECT_EQ(count(T::kBreakerTrip), breaker_trips);
+  // Every admitted session ended and every download that started finished
+  // or was aborted (the run completed).
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(count(T::kSessionDone) + count(T::kSessionFail), result.admitted);
+  EXPECT_EQ(count(T::kDownloadStart),
+            count(T::kDownloadFinish) + count(T::kDownloadAbort));
+  // The faults above all fired, so none of the counts is vacuous.
+  for (const T type : {T::kReplicaDown, T::kUplinkDegrade, T::kEncodeFail,
+                       T::kEncodeRetry, T::kBreakerTrip,
+                       T::kDensityDownshift}) {
+    if (faults_armed) {
+      EXPECT_GT(count(type), 0u) << fleet_event_name(type);
+    } else {
+      EXPECT_EQ(count(type), 0u) << fleet_event_name(type);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fleets, FleetTimelineTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FaultArmed" : "FaultFree";
+                         });
 
 }  // namespace
 }  // namespace volut
