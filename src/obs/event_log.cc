@@ -60,11 +60,16 @@ void EventLog::record(double time, FleetEventType type, std::uint32_t session,
 }
 
 std::vector<FleetEvent> EventLog::events() const {
-  if (capacity_ == 0 || recorded_ <= ring_.size()) return ring_;
-  // Ring has wrapped: the oldest retained event sits at the write cursor.
-  const auto head = std::ptrdiff_t(recorded_ % capacity_);
-  std::vector<FleetEvent> out(ring_.begin() + head, ring_.end());
-  out.insert(out.end(), ring_.begin(), ring_.begin() + head);
+  std::vector<FleetEvent> out;
+  out.reserve(ring_.size());
+  if (capacity_ == 0 || recorded_ <= ring_.size()) {
+    out = ring_;
+  } else {
+    // Ring has wrapped: the oldest retained event sits at the write cursor.
+    const std::size_t head = recorded_ % capacity_;
+    out.insert(out.end(), ring_.begin() + head, ring_.end());
+    out.insert(out.end(), ring_.begin(), ring_.begin() + head);
+  }
   return out;
 }
 

@@ -251,7 +251,7 @@ void measure_sr_samples(const std::vector<SrWorkItem>& work,
 }
 
 /// Adds one run's serve totals, and its replica uplinks' net/* flow totals,
-/// to the process-wide registry, reading them from the finished result. The
+/// to the process-wide registry, reading only the finished result's fields. The
 /// registry accumulates across runs, so each run adds its totals once, at
 /// its end, and never overwrites what earlier runs published.
 void publish_serve_metrics(const FleetResult& result,
@@ -272,9 +272,11 @@ void publish_serve_metrics(const FleetResult& result,
     }
   }
   const EncodeQueueStats& encode = result.encode_queue;
+  std::uint64_t breaker_trips = 0;
   std::uint64_t flows_started = 0, flows_completed = 0, flows_aborted = 0;
   double bytes_completed = 0.0;
   for (const ReplicaStats& replica : result.replicas) {
+    breaker_trips += replica.breaker_trips;
     flows_started += replica.flows_started;
     flows_completed += replica.flows_completed;
     flows_aborted += replica.flows_aborted;
@@ -292,8 +294,7 @@ void publish_serve_metrics(const FleetResult& result,
       {"serve/fleet/session_failures", result.failed_sessions},
       {"serve/fleet/downloads_aborted", result.downloads_aborted},
       {"serve/fleet/density_downshifts", result.degraded_chunks},
-      {"serve/fleet/breaker_trips",
-       result.events.type_count(FleetEventType::kBreakerTrip)},
+      {"serve/fleet/breaker_trips", breaker_trips},
       {"net/flows_started", flows_started},
       {"net/flows_completed", flows_completed},
       {"net/flows_aborted", flows_aborted},
@@ -701,8 +702,11 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           if (!done.success && !done.terminal) {
             h_backoff.observe(done.backoff_seconds);
           }
-          const auto r = std::size_t(done.replica);  // -1 wraps: no replica
-          if (r >= n_replicas) continue;
+          if (done.replica < 0 ||
+              std::size_t(done.replica) >= n_replicas) {
+            continue;
+          }
+          const auto r = std::size_t(done.replica);
           Replica& replica = replicas[r];
           if (done.success) {
             replica.consec_encode_failures = 0;

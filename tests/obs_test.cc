@@ -344,7 +344,12 @@ FleetConfig faulty_fleet() {
 class FleetTimelineTest : public ::testing::TestWithParam<bool> {};
 
 // Every FleetResult count that one event type also counts agrees with the
-// log, with and without faults.
+// log, with and without faults. run_fleet reads admitted, rejected,
+// failovers, failed_sessions, downloads_aborted, degraded_chunks and
+// timeline_events from the log, so those lines only pin that derivation;
+// serve_fleet_diff_test checks the counts themselves against the reference
+// loop. The cache and encode-queue counters and the per-replica crash and
+// breaker-trip sums have writers of their own, and are checked here.
 TEST_P(FleetTimelineTest, MatchesRollups) {
   const bool faults_armed = GetParam();
   const FleetResult result =
@@ -390,6 +395,15 @@ TEST_P(FleetTimelineTest, MatchesRollups) {
     if (faults_armed) {
       EXPECT_GT(count(type), 0u) << fleet_event_name(type);
     } else {
+      EXPECT_EQ(count(type), 0u) << fleet_event_name(type);
+    }
+  }
+  // Without faults nothing fails over, fails or aborts, so the two sums
+  // above are exactly kSessionDone == admitted and
+  // kDownloadStart == kDownloadFinish.
+  if (!faults_armed) {
+    for (const T type :
+         {T::kFailoverComplete, T::kSessionFail, T::kDownloadAbort}) {
       EXPECT_EQ(count(type), 0u) << fleet_event_name(type);
     }
   }
